@@ -9,12 +9,13 @@ or a kernel-compilation cache does:
 * the **key** (:mod:`.key`) hashes a canonical serialization of the
   input function's IR, the resolved phase list + options + target, and
   a code-version salt derived from the ``repro`` sources themselves;
-* the **value** (:mod:`.store`) holds the translated function plus its
-  per-phase pass statistics, counters and IR measures;
+* the **value** (:mod:`.store`) is the function's
+  :class:`~repro.pipeline.FunctionRecord`: the translated function plus
+  its per-phase pass statistics, counters, IR measures and move counts;
 * **integration** lives in :func:`repro.pipeline.run_phases` (probe
-  before the phase loop, store after it) and :mod:`repro.parallel`
-  (forked workers share one directory; writes are atomic renames, reads
-  are lock-free, corrupted entries silently recompile).
+  before the phase loop, store after it); ``--jobs`` pool workers share
+  one directory (writes are atomic renames, reads are lock-free,
+  corrupted entries silently recompile).
 
 Enable it with ``--cache-dir DIR`` on the CLI, ``cache=`` on the
 pipeline entry points, or the ``REPRO_CACHE`` environment variable;

@@ -6,14 +6,13 @@ Layout (one directory, shareable between processes and runs)::
         objects/<aa>/<38 more hex chars>.bin     one entry per key
 
 Each entry file is ``MAGIC + sha256(payload) + payload`` where the
-payload is a pickled dict holding the translated
-:class:`~repro.ir.function.Function`, its per-phase pass statistics,
-the decision/analysis counters recorded while it compiled, and the
+payload is a pickled :class:`~repro.pipeline.FunctionRecord`: the
+translated :class:`~repro.ir.function.Function`, its per-phase pass
+statistics, the decision counters recorded while it compiled, its
 per-phase IR measures (so warm runs can rebuild the ``phases[]``
-breakdown of the stats document).
+breakdown of the stats document) and its paper metrics.
 
-Concurrency model -- the one the parallel driver
-(:mod:`repro.parallel`) relies on:
+Concurrency model -- the one ``--jobs`` pool workers rely on:
 
 * **Writes are atomic.**  An entry is written to a temp file in the
   same fan-out directory and ``os.replace``-d into place, so a reader
@@ -32,7 +31,7 @@ Concurrency model -- the one the parallel driver
 
 Per-instance counters (``hits``/``misses``/``stores``/``evictions``/
 ``corrupt``/``bytes``) feed the ``cache`` block of ``repro.stats/v1.5``
-documents; the parallel driver sums them across forked workers.
+documents; ``repro.pipeline.assemble`` sums them across pool workers.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ CACHE_SALT_ENV = "REPRO_CACHE_SALT"
 #: The counter names of the stats ``cache`` block, in emission order.
 CACHE_STATS_KEYS = ("hits", "misses", "stores", "evictions", "bytes",
                     "corrupt")
-
-#: Keys every stored payload must carry to be considered intact.
-_PAYLOAD_KEYS = frozenset({"function", "phase_stats", "counters",
-                           "breakdown"})
 
 
 class CompilationCache:
@@ -104,8 +99,8 @@ class CompilationCache:
     # ------------------------------------------------------------------
     # Probe / store
     # ------------------------------------------------------------------
-    def probe(self, key: str) -> Optional[dict]:
-        """Return the stored payload for *key*, or ``None`` on a miss.
+    def probe(self, key: str):
+        """Return the stored record for *key*, or ``None`` on a miss.
 
         Any defect -- missing file, bad magic, checksum mismatch,
         truncation, unpicklable or structurally wrong payload -- counts
@@ -136,7 +131,9 @@ class CompilationCache:
             pass
         return payload
 
-    def _decode(self, blob: bytes) -> Optional[dict]:
+    def _decode(self, blob: bytes):
+        from ..pipeline import FunctionRecord
+
         if not blob.startswith(MAGIC):
             return None
         digest = blob[len(MAGIC):len(MAGIC) + _DIGEST_SIZE]
@@ -147,14 +144,13 @@ class CompilationCache:
             payload = pickle.loads(body)
         except Exception:  # truncated/stale pickles raise many types
             return None
-        if not (isinstance(payload, dict)
-                and _PAYLOAD_KEYS <= payload.keys()
-                and isinstance(payload["function"], Function)):
+        if not (isinstance(payload, FunctionRecord)
+                and isinstance(payload.function, Function)):
             return None
         return payload
 
-    def store(self, key: str, payload: dict) -> None:
-        """Atomically write *payload* under *key* (tempfile +
+    def store(self, key: str, payload) -> None:
+        """Atomically write the *payload* record under *key* (tempfile +
         ``os.replace`` in the same directory), then evict if over cap."""
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         blob = MAGIC + hashlib.sha256(body).digest() + body
@@ -225,6 +221,12 @@ class CompilationCache:
     def stats(self) -> dict[str, int]:
         """Lifetime counters of this instance, in ``cache``-block shape."""
         return {name: getattr(self, name) for name in CACHE_STATS_KEYS}
+
+    def absorb(self, block: dict[str, int]) -> None:
+        """Add another process's traffic on this directory (a pool
+        worker's ``cache`` block) to this instance's counters."""
+        for name in CACHE_STATS_KEYS:
+            setattr(self, name, getattr(self, name) + block.get(name, 0))
 
     def stats_since(self, mark: dict[str, int]) -> dict[str, int]:
         """The counter deltas since a :meth:`stats` snapshot -- what one

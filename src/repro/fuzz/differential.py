@@ -4,7 +4,8 @@ Every check answers the same question -- "does the pipeline preserve
 this program?" -- from a different angle:
 
 ``roundtrip``
-    print -> parse -> print is a fixpoint of the LAI text format.
+    print -> parse -> print is a fixpoint of the LAI text format, for
+    the input and the output of every composition and variant.
 ``interp``
     the compiled interpreter tier and the reference tree-walker agree
     on every verify run -- identical ``(results, stores, calls)``
@@ -292,18 +293,20 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
         return result
     result.functions = len(module.functions)
 
-    if "roundtrip" in checks:
+    def roundtrip(item, label: str) -> None:
         try:
-            printed = format_module(module)
-            reprinted = format_module(parse_module(printed))
-            if printed != reprinted:
+            printed = format_module(item)
+            if format_module(parse_module(printed)) != printed:
                 report(Divergence(
-                    "roundtrip", "", "mismatch",
+                    "roundtrip", label, "mismatch",
                     "print->parse->print is not a fixpoint",
                     seed, profile))
         except Exception as exc:  # noqa: BLE001
-            report(Divergence("roundtrip", "", type(exc).__name__,
+            report(Divergence("roundtrip", label, type(exc).__name__,
                               str(exc), seed, profile))
+
+    if "roundtrip" in checks:
+        roundtrip(module, "")
 
     # The reference interpretation must succeed before any differential
     # claim makes sense; a failure here is a generator/harness defect.
@@ -351,6 +354,8 @@ def check_module(source: str, verify: Sequence[tuple[str, Sequence[int]]],
                               str(exc) or kind, seed, profile))
             continue
         result.moves[label] = experiment.moves
+        if "roundtrip" in checks:
+            roundtrip(experiment.module, label)
         if label == ANCHOR_COMPOSITION:
             anchor = format_module(experiment.module)
 

@@ -1,59 +1,31 @@
-"""Parallel compilation driver: fork-pool sharding with deterministic merge.
+"""Parallel compilation: one worker pool, one task body.
 
 Every phase of every experiment processes functions independently (the
 same per-function independence the paper's Tables 2-5 rely on), so a
 module can be *sharded*: split its functions across worker processes,
-run the full phase pipeline on each shard with a private
-:class:`~repro.analysis.manager.AnalysisManager`, then merge the
-results.  At the outer level, whole experiments of a table are equally
-independent and shard the same way.
+run the full pipeline on each shard, and hand the per-function
+:class:`~repro.pipeline.FunctionRecord`\\ s the shards send back to
+:func:`repro.pipeline.assemble` -- the same merge the serial path, cache
+hits and ``repro serve`` batches use, which is why output is
+**byte-identical at any job count**.  Whole experiments of a table are
+equally independent and shard the same way.  What this module adds is
+a parallel run's environment: worker traces grafted into the parent
+tracer (one coherent Chrome trace), worker metric snapshots merged, and
+the ``parallel`` block.
 
-The merge layer is the actual contract of this module: paper-metric
-output must be **byte-identical at any job count**.  That means nothing
-may depend on worker arrival order --
+All pool work runs on :class:`WorkerPool` (a one-shot ``--jobs`` run is
+a ``with WorkerPool(n)`` block; ``repro serve`` keeps one for its
+lifetime) as pickled :class:`ShardJob`\\ s through one task body,
+:func:`run_shard`, placed by a deterministic greedy LPT
+(:func:`partition`).  Runs are serial when ``jobs`` resolves to 1, when
+there is at most one unit of work, without the ``fork`` start method,
+when a module will not pickle (lambda externals), or when the pool
+broke even after one respawn.  Worker *exceptions* propagate exactly as
+they would serially.
 
-* the merged module lists functions in the *input module's* order, not
-  shard order;
-* ``phase_stats`` and every ``phases[]`` breakdown entry re-sequence
-  their per-function payloads by a stable ``(phase, function)`` order;
-* tracer counters, event counts, ``analysis_cache`` totals and metric
-  snapshots (counters and histogram buckets add, gauges take the max)
-  are summed per key (summation is order-free);
-* worker span/event records are grafted into the parent tracer in
-  shard-index order with renumbered ``seq``/rebased timestamps, so a
-  ``--trace`` of a parallel run is one coherent Chrome trace.
-
-Sharding uses a deterministic greedy LPT partition by instruction
-count.  The driver falls back to the serial path when ``jobs`` resolves
-to 1, when the module has at most one function, when the platform lacks
-the ``fork`` start method (worker state is inherited by forking, never
-pickled), or when a worker process dies (``BrokenProcessPool``).
-Worker *exceptions* are not swallowed: a validation failure raises
-exactly as it would serially.
-
-``jobs`` semantics everywhere (``run_experiment``, ``run_table``,
-``run_table5``, the CLI ``--jobs`` and the benchmark harness):
-``None`` reads ``$REPRO_JOBS`` (default 1), ``0`` means all cores,
-``1`` is serial, ``N>1`` uses at most N workers.
-
-Two pool disciplines coexist:
-
-* **One-shot fork pools** (the original design): the pool is created
-  *after* the per-call worker state is staged in a module global, so
-  forked children inherit the module for free and nothing big is
-  pickled.  The pool dies with the call -- which costs a flat
-  fork+teardown overhead per ``run_experiment`` (the ~70-90 ms the
-  jobs=4 column of BENCH_compile_time.json shows dominating small
-  suites).
-* **Persistent pools** (:class:`WorkerPool`): created once, reused
-  across calls -- the warm substrate ``repro serve`` and repeated
-  ``run_experiments``/``run_table`` calls run on.  Workers are forked
-  once, so per-call state travels *pickled in the task spec* instead of
-  by inheritance; each worker keeps process-lifetime state
-  (:func:`_pool_cache` instances per cache directory, one
-  :func:`_pool_manager` analysis manager) that stays hot between
-  submissions.  A dead worker (``BrokenProcessPool``) triggers one
-  respawn-and-retry before the caller's serial fallback.
+``jobs`` everywhere (``run_experiment``, ``run_table``, the CLI
+``--jobs``, the benchmark harness): ``None`` reads ``$REPRO_JOBS``
+(default 1), ``0`` means all cores, ``N`` uses at most N workers.
 """
 
 from __future__ import annotations
@@ -64,23 +36,19 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ir.function import Module
 from .machine.st120 import ST120
 from .machine.target import Target
-from .metrics import count_instructions, count_moves, weighted_moves
-from .observability import Tracer
+from .metrics import count_instructions
+from .observability import NULL_TRACER, Tracer
 from .observability import resolve as resolve_tracer
-
-#: The integer keys of the ``analysis_cache`` block, in the canonical
-#: order :meth:`AnalysisManager.stats` emits them.
-_CACHE_KEYS = ("hits", "misses", "invalidations", "preserved",
-               "oracle_hits", "oracle_misses")
+from .observability.metrics import MetricsRegistry, resolve_metrics
 
 
 # ----------------------------------------------------------------------
-# Job resolution and platform capability
+# Job resolution, platform capability and placement
 # ----------------------------------------------------------------------
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Resolve a ``jobs=`` argument to a concrete worker count.
@@ -100,81 +68,77 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def fork_available() -> bool:
-    """Whether this platform can fork workers (worker state is passed
-    by fork-time inheritance, so ``spawn``-only platforms run serially)."""
+    """Whether pool workers can fork (else everything runs serially)."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def partition_functions(module: Module, workers: int) -> list[list[str]]:
-    """Deterministic LPT partition of the module's function names.
+def partition(units: Sequence[tuple[int, object]],
+              workers: int) -> list[list[object]]:
+    """Deterministic greedy-LPT placement of ``(weight, key)`` *units*
+    into at most *workers* shards.
 
-    Functions are sorted by instruction count (descending, original
-    module order as tie-break) and greedily assigned to the least
+    Units go heaviest first (list order as tie-break) to the least
     loaded shard (lowest index on ties) -- load balance without any
     dependence on hashing or arrival order.  Empty shards are dropped.
     """
-    weighted = sorted(
-        ((count_instructions(f), i, f.name)
-         for i, f in enumerate(module.iter_functions())),
-        key=lambda t: (-t[0], t[1]))
-    shards: list[list[str]] = [[] for _ in range(max(1, workers))]
+    ordered = sorted(range(len(units)), key=lambda i: (-units[i][0], i))
+    shards: list[list[object]] = [[] for _ in range(max(1, workers))]
     loads = [0] * len(shards)
-    for weight, _, name in weighted:
+    for i in ordered:
+        weight, key = units[i]
         target = min(range(len(shards)), key=lambda j: (loads[j], j))
-        shards[target].append(name)
+        shards[target].append(key)
         loads[target] += weight
     return [shard for shard in shards if shard]
 
 
+def pack_shard(module: Module, names: Sequence[str]) -> bytes:
+    """The pickled ``(module, verify)`` pair of a :class:`ShardJob`
+    holding *names*' functions (no externals: verify runs in the parent)."""
+    shard = Module(module.name)
+    for fn_name in names:
+        shard.add_function(module.functions[fn_name])
+    return pickle.dumps((shard, None), protocol=pickle.HIGHEST_PROTOCOL)
+
+
 # ----------------------------------------------------------------------
-# Worker side.  State reaches workers by fork-time inheritance of this
-# module-level global -- nothing is pickled on the way in; only the
-# (small) shard spec and the (picklable) result payload cross the pipe.
+# Worker side
 # ----------------------------------------------------------------------
-_WORKER_STATE = None
+class ShardJob(NamedTuple):
+    """One unit of pool work: run *phases* as experiment *name* on the
+    pickled ``(module, verify)`` pair in *blob* (a function shard, or a
+    whole module for experiment-level runs).  ``traced``/``metriced``
+    give the worker its own recorder."""
 
-# Process-lifetime worker state for *persistent* pools (fork-once
-# workers cannot inherit per-call state, so tasks arrive pickled and
-# the expensive objects -- cache handles, the analysis manager -- are
-# built once per worker process and reused across submissions).
-_POOL_CACHES: dict[str, object] = {}
-_POOL_MANAGER = None
-
-
-def _pool_cache(cache):
-    """Resolve a task's cache field inside a pool worker.
-
-    A string/path is interned to one process-lifetime
-    :class:`~repro.cache.CompilationCache` per directory (the warm
-    handle ``repro serve`` requests share); an instance that travelled
-    pickled passes through; ``None`` stays ``None``.
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, (str, os.PathLike)):
-        path = os.fspath(cache)
-        interned = _POOL_CACHES.get(path)
-        if interned is None:
-            from .cache import CompilationCache
-
-            interned = _POOL_CACHES[path] = CompilationCache(path)
-        return interned
-    return cache
+    blob: bytes
+    name: str
+    phases: tuple
+    options: object = None
+    target: Target = ST120
+    validate: bool = True
+    cache: object = None
+    traced: bool = False
+    metriced: bool = False
 
 
-def _pool_manager():
-    """This worker's process-lifetime
-    :class:`~repro.analysis.manager.AnalysisManager` -- it survives
-    between requests (counters accumulate for the worker's lifetime);
-    callers flush the per-function entries after each task because
-    pipeline runs operate on fresh copies, so stale entries could never
-    hit again."""
-    global _POOL_MANAGER
-    if _POOL_MANAGER is None:
-        from .analysis.manager import AnalysisManager
+def run_shard(job: ShardJob) -> dict:
+    """The task body of every pool: run the pipeline on one job and
+    return its picklable outcome -- the function records plus the
+    environment blocks the parent sums or grafts."""
+    from . import pipeline as _pipeline
 
-        _POOL_MANAGER = AnalysisManager()
-    return _POOL_MANAGER
+    module, verify = pickle.loads(job.blob)
+    start = time.perf_counter_ns()
+    result = _pipeline.run_phases(
+        module, job.name, job.phases, job.options, job.target, verify,
+        job.validate, Tracer() if job.traced else None, cache=job.cache,
+        metrics=MetricsRegistry() if job.metriced else None)
+    return {"records": result.records,
+            "analysis_cache": result.analysis_cache,
+            "cache": result.cache,
+            "metrics": result.metrics,
+            "tracer": result.tracer if job.traced else None,
+            "wall_ns": time.perf_counter_ns() - start}
 
 
 def _pool_ping(delay: float = 0.0) -> int:
@@ -184,173 +148,21 @@ def _pool_ping(delay: float = 0.0) -> int:
     return os.getpid()
 
 
-def _picklable(obj) -> bool:
-    """Whether *obj* survives the pickle trip to a persistent-pool
-    worker (modules carrying lambda externals, for instance, do not --
-    those calls degrade to the one-shot fork path)."""
-    try:
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return False
-    return True
-
-
-def _run_shard(shard, name, phases, options, target, validate, traced,
-               cache, metriced, analyses=None):
-    """The shared worker body: run the phase pipeline on one shard
-    module and return its picklable payload."""
-    from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
-
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(shard, name, phases, options, target,
-                                  None, validate, tracer, cache=cache,
-                                  metrics=metrics, analyses=analyses)
-    return _result_payload(result, time.perf_counter_ns() - start)
-
-
-def _shard_task(spec):
-    """Run the phase pipeline on one function shard (worker process,
-    one-shot fork pool: state arrives by fork-time inheritance)."""
-    index, names = spec
-    (module, name, phases, options, target, validate, traced, cache,
-     metriced) = _WORKER_STATE
-    shard = Module(module.name)
-    for fn_name in names:
-        shard.add_function(module.functions[fn_name])  # run_phases copies
-    return index, _run_shard(shard, name, phases, options, target,
-                             validate, traced, cache, metriced)
-
-
-def _pooled_shard_task(spec):
-    """Persistent-pool twin of :func:`_shard_task`: the shard module
-    travels pickled in the spec, the cache handle and analysis manager
-    are this worker's process-lifetime ones."""
-    (index, shard, name, phases, options, target, validate, traced,
-     cache, metriced) = spec
-    manager = _pool_manager()
-    try:
-        return index, _run_shard(shard, name, phases, options, target,
-                                 validate, traced, _pool_cache(cache),
-                                 metriced, analyses=manager)
-    finally:
-        manager.flush()
-
-
-def _experiment_task(spec):
-    """Run one whole experiment serially (worker process)."""
-    from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
-
-    index, label, name, options = spec
-    module, verify, validate, traced, target, cache, metriced = \
-        _WORKER_STATE
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(module, name, _pipeline.EXPERIMENTS[name],
-                                  options, target, verify, validate, tracer,
-                                  cache=cache, metrics=metrics)
-    payload = _result_payload(result, time.perf_counter_ns() - start)
-    return index, label, payload
-
-
-def _pooled_experiment_task(spec):
-    """Persistent-pool twin of :func:`_experiment_task`: everything the
-    run needs (module included) arrives pickled in the spec."""
-    from . import pipeline as _pipeline
-    from .observability.metrics import MetricsRegistry
-
-    (index, label, name, options, module, verify, validate, traced,
-     target, cache, metriced) = spec
-    tracer = Tracer() if traced else None
-    metrics = MetricsRegistry() if metriced else None
-    start = time.perf_counter_ns()
-    result = _pipeline.run_phases(module, name, _pipeline.EXPERIMENTS[name],
-                                  options, target, verify, validate, tracer,
-                                  cache=_pool_cache(cache), metrics=metrics)
-    payload = _result_payload(result, time.perf_counter_ns() - start)
-    return index, label, payload
-
-
-def _result_payload(result, wall_ns: int) -> dict:
-    """The picklable slice of an :class:`ExperimentResult` a worker
-    sends back (the module's externals -- arbitrary callables -- and
-    the live tracer object stay behind)."""
-    tracer = result.tracer
-    return {
-        "functions": dict(result.module.functions),
-        "moves": result.moves,
-        "weighted": result.weighted,
-        "instructions": result.instructions,
-        "phase_stats": result.phase_stats,
-        "phase_breakdown": result.phase_breakdown,
-        "analysis_cache": result.analysis_cache,
-        "cache": result.cache,
-        "metrics": result.metrics or None,
-        "tracer": _tracer_payload(tracer) if tracer.enabled else None,
-        "wall_ns": wall_ns,
-    }
-
-
-def _tracer_payload(tracer: Tracer) -> dict:
-    return {"spans": tracer.spans, "events": tracer.events,
-            "counters": tracer.counters, "epoch_ns": tracer.epoch_ns,
-            "seq": tracer._seq}
-
-
 # ----------------------------------------------------------------------
-# Pool driver
-# ----------------------------------------------------------------------
-def _run_pool(state, task, specs, workers: int):
-    """Fork *workers* processes inheriting *state* and map *task* over
-    *specs*.  Returns the results in submission order, or ``None`` when
-    the pool infrastructure broke (a worker died) -- worker *Python*
-    exceptions propagate unchanged."""
-    global _WORKER_STATE
-    context = multiprocessing.get_context("fork")
-    _WORKER_STATE = state
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(task, spec) for spec in specs]
-            return [future.result() for future in futures]
-    except (BrokenProcessPool, OSError):
-        return None
-    finally:
-        _WORKER_STATE = None
-
-
-# ----------------------------------------------------------------------
-# Persistent worker pool
+# The worker pool
 # ----------------------------------------------------------------------
 class WorkerPool:
-    """A create-once, reuse-forever fork pool.
-
-    ``run_experiment``'s default discipline builds and tears down a
-    ``ProcessPoolExecutor`` per call; this class keeps one alive so the
-    fork cost, interpreter state and the workers' process-lifetime
-    caches (:func:`_pool_cache`, :func:`_pool_manager`) are paid once.
-    ``repro serve`` holds one for its whole lifetime; batch callers can
-    pass one to ``run_experiments``/``run_table`` via ``pool=``.
-
-    Tasks submitted through :meth:`run` must carry their own state
-    (the ``_pooled_*`` task shapes) -- fork-time inheritance only works
-    for pools created after the state is staged.  A dead worker
-    (``BrokenProcessPool``) is handled by discarding the executor,
-    respawning a fresh one and retrying the submission once; compile
-    tasks are pure, so the retry is safe.  :meth:`run` returns ``None``
-    only when the respawned pool breaks too.
-    """
+    """A fork pool that lives as long as its owner (a ``with`` block or
+    a ``repro serve`` process).  Tasks carry their own state pickled in
+    the spec.  A dead worker (``BrokenProcessPool``) is handled by
+    respawning the executor and retrying the submission once; compile
+    tasks are pure, so the retry is safe."""
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.workers = resolve_jobs(jobs)
         self.respawns = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    # ------------------------------------------------------------------
     def _ensure(self) -> ProcessPoolExecutor:
         if self._pool is None:
             context = multiprocessing.get_context("fork")
@@ -365,10 +177,9 @@ class WorkerPool:
         return self._pool is not None
 
     def warm(self) -> list[int]:
-        """Force every worker to spawn now (a brief sleep per task
-        spreads them across distinct processes) and return their pids.
-        Called at server startup so the fork happens before request
-        threads exist."""
+        """Spawn every worker now (a brief sleep per task spreads them
+        across processes) and return their pids; the server calls this
+        before its threads exist."""
         delay = 0.05 if self.workers > 1 else 0.0
         pids = self.run(_pool_ping, [delay] * self.workers)
         return sorted(set(pids)) if pids else []
@@ -378,13 +189,9 @@ class WorkerPool:
         return bool(self.run(_pool_ping, [0.0]))
 
     def run(self, task, specs) -> Optional[list]:
-        """Map *task* over *specs*; results in submission order.
-
-        On ``BrokenProcessPool`` (a worker died) the pool is respawned
-        and the whole submission retried once; ``None`` means even the
-        retry's pool broke.  Worker *Python* exceptions propagate
-        unchanged, exactly like the one-shot driver.
-        """
+        """Map *task* over *specs*; results in submission order, or
+        ``None`` when the pool broke again after one respawn.  Worker
+        *Python* exceptions propagate unchanged."""
         specs = list(specs)
         for _ in range(2):
             pool = self._ensure()
@@ -415,30 +222,20 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "down"
-        return (f"<WorkerPool workers={self.workers} {state} "
-                f"respawns={self.respawns}>")
-
 
 # ----------------------------------------------------------------------
-# Deterministic merging
+# Parent side
 # ----------------------------------------------------------------------
-def _graft_tracer(parent: Tracer, payload: Optional[dict],
-                  root_seq: Optional[int], depth_offset: int) -> None:
-    """Splice a worker tracer's records into *parent*.
-
-    Sequence numbers are renumbered into a fresh block of the parent's
-    counter (so seqs stay unique and worker blocks sit in shard-index
-    order); timestamps are rebased from the worker's perf-counter epoch
-    to the parent's (``CLOCK_MONOTONIC`` is system-wide under fork);
-    worker top-level spans are re-parented under *root_seq*.
-    """
-    if payload is None:
-        return
+def _graft_tracer(parent: Tracer, worker: Tracer, root_seq: Optional[int],
+                  depth_offset: int) -> None:
+    """Splice a worker tracer's records into *parent*: seqs renumbered
+    into a fresh block of the parent's counter (worker blocks sit in
+    shard-index order), timestamps rebased to the parent's epoch
+    (``CLOCK_MONOTONIC`` is system-wide under fork), top-level spans
+    re-parented under *root_seq*."""
     base = parent._seq
-    shift = payload["epoch_ns"] - parent.epoch_ns
-    for span in payload["spans"]:
+    shift = worker.epoch_ns - parent.epoch_ns
+    for span in worker.spans:
         span.seq += base
         span.parent = span.parent + base if span.parent is not None \
             else root_seq
@@ -446,207 +243,81 @@ def _graft_tracer(parent: Tracer, payload: Optional[dict],
         span.start_ns += shift
         span.wall_start = parent.epoch_wall + span.start_ns / 1e9
         parent.spans.append(span)
-    for event in payload["events"]:
+    for event in worker.events:
         event.seq += base
         event.ts_ns += shift
         event.span = event.span + base if event.span is not None \
             else root_seq
         parent.events.append(event)
-    for key, value in payload["counters"].items():
+    for key, value in worker.counters.items():
         parent.counters[key] = parent.counters.get(key, 0) + value
-    parent._seq = base + payload["seq"]
+    parent._seq = base + worker._seq
 
 
-def _merge_module(module: Module, payloads: Sequence[dict]) -> Module:
-    """Transformed functions re-assembled in the input module's order."""
-    transformed: dict = {}
-    for payload in payloads:
-        transformed.update(payload["functions"])
-    merged = Module(module.name)
-    for fn_name in module.functions:
-        merged.add_function(transformed[fn_name])
-    merged.externals = dict(module.externals)
-    return merged
-
-
-def _merge_phase_stats(payloads: Sequence[dict],
-                       order: dict[str, int]) -> dict:
-    """Per-phase pass statistics, function keys in module order."""
-    merged: dict = {}
-    for payload in payloads:
-        for phase, stats in payload["phase_stats"].items():
-            merged.setdefault(phase, {}).update(stats)
-    return {phase: {name: stats[name]
-                    for name in sorted(stats, key=order.__getitem__)}
-            for phase, stats in merged.items()}
-
-
-def _merge_phase_breakdown(payloads: Sequence[dict],
-                           order: dict[str, int]) -> list:
-    """The ``phases[]`` entries, re-sequenced by the stable
-    ``(phase, function)`` order.  Non-timing content equals the serial
-    entry exactly; ``seq``/``start_ns``/``duration_ns`` become the
-    phase index, the earliest worker start and the slowest worker
-    duration (the documented non-deterministic timing fields)."""
-    breakdowns = [p["phase_breakdown"] for p in payloads]
-    merged = []
-    for i in range(max((len(b) for b in breakdowns), default=0)):
-        entries = [b[i] for b in breakdowns if i < len(b)]
-        functions: dict = {}
-        for entry in entries:
-            functions.update(entry["functions"])
-        functions = {name: functions[name]
-                     for name in sorted(functions, key=order.__getitem__)}
-        totals = {key: sum(per_fn["delta"][key]
-                           for per_fn in functions.values())
-                  for key in ("instructions", "moves", "phis")}
-        moves_delta = totals["moves"]
-        merged.append({
-            "phase": entries[0]["phase"],
-            "seq": i,
-            "start_ns": min(e["start_ns"] for e in entries),
-            "duration_ns": max(e["duration_ns"] for e in entries),
-            "delta": {**totals,
-                      "copies_inserted": max(moves_delta, 0),
-                      "copies_removed": max(-moves_delta, 0)},
-            "functions": functions,
-        })
-    return merged
-
-
-def _merge_cache_stats(payloads: Sequence[dict]) -> dict:
-    return {key: sum(p["analysis_cache"].get(key, 0) for p in payloads)
-            for key in _CACHE_KEYS}
-
-
-def _merge_store_stats(payloads: Sequence[dict]) -> dict:
-    """Persistent-cache traffic summed across workers (the workers
-    probed/stored a shared directory; hits+misses therefore add up to
-    the function count at any job count)."""
-    from .cache import CACHE_STATS_KEYS
-
-    if not any(p.get("cache") for p in payloads):
-        return {}
-    return {key: sum(p["cache"].get(key, 0) for p in payloads)
-            for key in CACHE_STATS_KEYS}
-
-
-# ----------------------------------------------------------------------
-# Function-level parallel experiment
-# ----------------------------------------------------------------------
-def shard_module(module: Module, names: Sequence[str]) -> Module:
-    """A module holding just *names*' functions (externals stripped --
-    they are arbitrary callables, never pickled to a pool worker;
-    ``run_phases`` copies, so sharing the Function objects is safe)."""
-    shard = Module(module.name)
-    for fn_name in names:
-        shard.add_function(module.functions[fn_name])
-    return shard
+def _run_one_shot(workers: int, cache, jobs: list) -> Optional[list]:
+    """Run *jobs* on a one-shot pool, adding the workers' cache traffic
+    to the caller's *cache* instance; ``None`` if the pool broke."""
+    with WorkerPool(workers) as pool:
+        payloads = pool.run(run_shard, jobs)
+    if payloads is not None and cache is not None:
+        for payload in payloads:
+            cache.absorb(payload["cache"])
+    return payloads
 
 
 def run_phases_parallel(module: Module, name: str, phases,
                         options=None, target: Target = ST120,
                         verify=None, validate: bool = True,
                         tracer=None, jobs: Optional[int] = None,
-                        cache=None, metrics=None, pool=None):
-    """Parallel twin of :func:`repro.pipeline.run_phases`.
-
-    Shards the module's functions across a fork pool, each worker
-    running its own :class:`AnalysisManager`, and merges the results
-    deterministically.  Semantic verification (``verify=``) runs in the
-    parent against the input and the *merged* module, reproducing the
-    serial interpreter work exactly.  When a metrics registry is
-    passed, each worker records into a private registry and the parent
-    merges the snapshots element-wise (sums are order-free, so the
-    deterministic fields match the serial run at any job count).
-    ``pool`` (a :class:`WorkerPool`) reuses a persistent executor
-    instead of forking a one-shot pool -- same merge, same output
-    bytes, no per-call fork cost.  Falls back to the serial path
-    whenever parallelism is unavailable or a worker dies.
-    """
+                        cache=None, metrics=None):
+    """Function-level sharding of :func:`repro.pipeline.run_phases`:
+    each shard runs the whole pipeline in a worker (with its own tracer
+    and metrics registry when the caller has one); the parent grafts
+    and merges those, assembles the records, and runs semantic
+    verification against the input and the assembled module exactly as
+    the serial path does."""
     from . import pipeline as _pipeline
-    from .interp import run_module
-    from .observability.metrics import resolve_metrics
 
     tracer = resolve_tracer(tracer)
     metrics = resolve_metrics(metrics)
     phases = tuple(phases)
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    workers = min(configured, len(module.functions))
-    if workers <= 1 or len(module.functions) <= 1 or not fork_available():
+    workers = min(resolve_jobs(jobs), len(module.functions))
+    payloads = None
+    if workers > 1 and fork_available():
+        shards = partition([(count_instructions(f), f.name)
+                            for f in module.iter_functions()], workers)
+        pool_start = time.perf_counter_ns()
+        payloads = _run_one_shot(len(shards), cache, [
+            ShardJob(pack_shard(module, names), name, phases, options,
+                     target, validate, cache, tracer.enabled,
+                     metrics.enabled) for names in shards])
+        pool_ns = time.perf_counter_ns() - pool_start
+    if payloads is None:
         return _pipeline.run_phases(module, name, phases, options, target,
                                     verify, validate, tracer, cache=cache,
                                     metrics=metrics)
 
-    shards = partition_functions(module, workers)
-    pool_start = time.perf_counter_ns()
-    if pool is not None:
-        specs = [(i, shard_module(module, shard), name, phases, options,
-                  target, validate, tracer.enabled, cache,
-                  metrics.enabled)
-                 for i, shard in enumerate(shards)]
-        outcomes = pool.run(_pooled_shard_task, specs)
-    else:
-        state = (module, name, phases, options, target, validate,
-                 tracer.enabled, cache, metrics.enabled)
-        outcomes = _run_pool(state, _shard_task, list(enumerate(shards)),
-                             len(shards))
-    if outcomes is None:  # a worker died: degrade, don't fail
-        return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache,
-                                    metrics=metrics)
-    pool_ns = time.perf_counter_ns() - pool_start
-    payloads = [payload for _, payload in sorted(outcomes)]
-
-    result = _pipeline.ExperimentResult(name=name, module=module,
-                                        tracer=tracer)
-    references = {}
     with tracer.span(f"experiment:{name}", experiment=name) as root:
-        if verify:
-            with tracer.span("verify:before"):
-                for fn_name, args in verify:
-                    references[(fn_name, tuple(args))] = \
-                        run_module(module, fn_name, args,
-                                   tracer=tracer).observable()
-
+        references = _pipeline.observe(module, verify, tracer)
         merge_start = time.perf_counter_ns()
         if tracer.enabled:
-            root_seq = root.seq
             for payload in payloads:
-                _graft_tracer(tracer, payload["tracer"], root_seq,
+                _graft_tracer(tracer, payload["tracer"], root.seq,
                               root.depth + 1)
-        order = {fn_name: i for i, fn_name in enumerate(module.functions)}
-        work = _merge_module(module, payloads)
-        result.module = work
-        result.phase_stats = _merge_phase_stats(payloads, order)
-        if tracer.enabled:
-            result.phase_breakdown = _merge_phase_breakdown(payloads, order)
-        result.analysis_cache = _merge_cache_stats(payloads)
-        result.cache = _merge_store_stats(payloads)
+        result = _pipeline.assemble(
+            module, {fn_name: record for payload in payloads
+                     for fn_name, record in payload["records"].items()},
+            name, phases, tracer=tracer, root=root, parts=payloads)
         if metrics.enabled:
             for payload in payloads:  # shard-index order (commutative)
-                metrics.merge(payload["metrics"] or {})
+                metrics.merge(payload["metrics"])
             # Each worker counted its shard as one pipeline invocation;
             # collapse to the single logical run the caller asked for so
             # counters stay identical at any job count.
             metrics.counter("pipeline.runs").inc(1 - len(payloads))
             result.metrics = metrics.snapshot()
         merge_ns = time.perf_counter_ns() - merge_start
-
-        if references:
-            with tracer.span("verify:after"):
-                for key, reference in references.items():
-                    fn_name, args = key
-                    after = run_module(work, fn_name, args,
-                                       tracer=tracer).observable()
-                    if after != reference:
-                        raise AssertionError(
-                            f"{name}: {fn_name}{tuple(args)} changed "
-                            f"behaviour: {reference} -> {after}")
-
-        result.moves = count_moves(work)
-        result.weighted = weighted_moves(work)
-        result.instructions = count_instructions(work)
+        _pipeline.check_behaviour(name, result.module, references, tracer)
         result.parallel = {
             "mode": "functions",
             "jobs": workers,
@@ -660,72 +331,51 @@ def run_phases_parallel(module: Module, name: str, phases,
     return result
 
 
-# ----------------------------------------------------------------------
-# Experiment-level parallel tables
-# ----------------------------------------------------------------------
 def run_experiments_parallel(module: Module, specs, verify=None,
                              validate: bool = True, traced: bool = False,
                              target: Target = ST120,
                              jobs: Optional[int] = None,
-                             cache=None, metriced: bool = False,
-                             pool=None):
-    """Run ``(label, experiment, options)`` *specs* across a fork pool,
-    one whole experiment per task (the outer-level sharding used by
-    ``run_table``/``run_table5``/``repro experiments``).
-
-    ``pool`` (a :class:`WorkerPool`) reuses a persistent executor
-    instead of forking per call; the module then travels pickled in
-    each spec, so modules carrying unpicklable externals degrade to the
-    one-shot fork path automatically.
-
-    Returns the :class:`ExperimentResult` list in spec order, or
-    ``None`` when parallelism is unavailable or the pool broke -- the
-    caller then runs its serial loop.
-    """
+                             cache=None, metriced: bool = False):
+    """Run ``(label, experiment, options)`` *specs* on a pool, one whole
+    experiment per task, with the module pickled once per call.
+    Returns the results in spec order, or ``None`` (the caller then
+    runs serially) when there is nothing to parallelize, the module
+    will not pickle or the pool broke."""
     from . import pipeline as _pipeline
 
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    workers = min(configured, len(specs))
-    if workers <= 1 or len(specs) <= 1 or not fork_available():
+    workers = min(resolve_jobs(jobs), len(specs))
+    if workers <= 1 or not fork_available():
         return None
-    outcomes = None
-    if pool is not None and _picklable((module, verify)):
-        pool_specs = [(i, label, name, options, module, verify, validate,
-                       traced, target, cache, metriced)
-                      for i, (label, name, options) in enumerate(specs)]
-        outcomes = pool.run(_pooled_experiment_task, pool_specs)
-    if outcomes is None:
-        state = (module, verify, validate, traced, target, cache,
-                 metriced)
-        pool_specs = [(i, label, name, options)
-                      for i, (label, name, options) in enumerate(specs)]
-        outcomes = _run_pool(state, _experiment_task, pool_specs, workers)
-    if outcomes is None:
+    try:
+        blob = pickle.dumps((module, verify),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None  # lambda externals and the like
+    payloads = _run_one_shot(workers, cache, [
+        ShardJob(blob, name, _pipeline.EXPERIMENTS[name], options, target,
+                 validate, cache, traced, metriced)
+        for _, name, options in specs])
+    if payloads is None:
         return None
 
     results = []
-    for index, label, payload in sorted(outcomes):
+    for index, ((label, name, _), payload) in enumerate(zip(specs,
+                                                            payloads)):
         merge_start = time.perf_counter_ns()
-        tracer = Tracer() if traced else None
-        if tracer is not None:
+        tracer = Tracer() if traced else NULL_TRACER
+        if traced:
             _graft_tracer(tracer, payload["tracer"], None, 0)
-        result = _pipeline.ExperimentResult(
-            name=label, module=_merge_module(module, [payload]),
-            moves=payload["moves"], weighted=payload["weighted"],
-            instructions=payload["instructions"],
-            phase_stats=payload["phase_stats"],
-            phase_breakdown=payload["phase_breakdown"],
-            tracer=resolve_tracer(tracer),
-            analysis_cache=payload["analysis_cache"],
-            cache=payload["cache"],
-            metrics=payload["metrics"] or {})
+        result = _pipeline.assemble(module, payload["records"], label,
+                                    _pipeline.EXPERIMENTS[name],
+                                    tracer=tracer, parts=[payload])
+        result.metrics = payload["metrics"]
         result.parallel = {
             "mode": "experiments",
             "jobs": workers,
             "workers": workers,
             "merge_ns": time.perf_counter_ns() - merge_start,
-            "shards": [{"worker": index, "functions":
-                        len(payload["functions"]),
+            "shards": [{"worker": index,
+                        "functions": len(payload["records"]),
                         "wall_ns": payload["wall_ns"]}],
         }
         results.append(result)

@@ -21,7 +21,9 @@ by the labels used in Tables 2-4 (``Lφ+C``, ``Sφ+C``, ``LABI+C``, ...);
 :func:`run_experiment` executes one of them on a module and returns the
 transformed module plus the collected statistics.  The pipeline verifies
 the IR between phases and can check semantic equivalence against the
-reference interpreter (``verify=...``).
+reference interpreter (``verify=...``).  Every function compiles to a
+:class:`FunctionRecord`, and :func:`assemble` alone turns records into
+an :class:`ExperimentResult`, whichever process or cache produced them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ from .outofssa.pinning_coalescer import coalesce_phis
 from .outofssa.sreedhar import sreedhar_to_cssa
 from .ssa.construction import construct_ssa
 from .ssa.copyprop import optimize_ssa
+
+#: ``(function, args)`` interpreter runs that must observe the same
+#: trace before and after a pipeline.
+Verify = Optional[Sequence[tuple[str, Sequence[int]]]]
 
 
 def ensure_ssa(function: Function) -> None:
@@ -83,6 +89,25 @@ class PhaseOptions:
 
 
 @dataclass
+class FunctionRecord:
+    """What compiling one function produces: the unit every execution
+    path hands to :func:`assemble`, and the value the persistent cache
+    stores.  ``phase_stats`` maps each phase but ``ssa`` to the pass
+    statistics; ``breakdown`` holds one ``{"phase", "before", "after"}``
+    IR-measure entry per phase (recorded when tracing or caching) and
+    ``counters`` the decision-counter deltas (when both, so a cache hit
+    replays them)."""
+
+    function: Function
+    phase_stats: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
+    breakdown: list = field(default_factory=list)
+    moves: int = 0
+    weighted: int = 0
+    instructions: int = 0
+
+
+@dataclass
 class ExperimentResult:
     name: str
     module: Module
@@ -95,25 +120,21 @@ class ExperimentResult:
     phase_breakdown: list = field(default_factory=list)
     #: The tracer the experiment ran under (NULL_TRACER by default).
     tracer: object = NULL_TRACER
-    #: Shared-analysis cache behaviour over the whole run
-    #: (hits/misses/invalidations/preserved, from
-    #: :meth:`repro.analysis.manager.AnalysisManager.stats`).
+    #: Shared-analysis cache traffic of the run
+    #: (:meth:`repro.analysis.manager.AnalysisManager.stats` shape).
     analysis_cache: dict = field(default_factory=dict)
-    #: Parallel-execution breakdown (workers, shard sizes, per-worker
-    #: wall time, merge time) when the run used the fork-pool driver
-    #: (:mod:`repro.parallel`); empty for serial runs.
+    #: Pool shape and wall times when the run used
+    #: :mod:`repro.parallel`; empty for serial runs.
     parallel: dict = field(default_factory=dict)
-    #: Persistent-cache traffic of this run
-    #: (hits/misses/stores/evictions/bytes/corrupt, from
-    #: :meth:`repro.cache.CompilationCache.stats_since`); empty when no
-    #: cache was configured.
+    #: Persistent-cache traffic of the run
+    #: (:meth:`repro.cache.CompilationCache.stats` shape); empty when
+    #: no cache was configured.
     cache: dict = field(default_factory=dict)
-    #: Metrics snapshot of this run
-    #: (:meth:`repro.observability.metrics.MetricsRegistry.snapshot`:
-    #: counters, gauges, latency histograms -- merged element-wise
-    #: across workers in parallel runs); empty without a metrics
-    #: registry.
+    #: :meth:`repro.observability.metrics.MetricsRegistry.snapshot` of
+    #: the run; empty without a metrics registry.
     metrics: dict = field(default_factory=dict)
+    #: The :class:`FunctionRecord` of every function, in module order.
+    records: dict = field(default_factory=dict)
 
     def row(self) -> tuple:
         return (self.name, self.moves, self.weighted)
@@ -217,88 +238,75 @@ TABLE_EXPERIMENTS: dict[str, tuple[str, ...]] = {
 
 def run_experiment(module: Module, name: str,
                    options: Optional[PhaseOptions] = None,
-                   target: Target = ST120,
-                   verify: Optional[Sequence[tuple[str, Sequence[int]]]]
-                   = None,
-                   validate: bool = True,
-                   tracer=None,
-                   jobs: Optional[int] = None,
-                   cache=None,
-                   metrics=None,
-                   pool=None) -> ExperimentResult:
+                   target: Target = ST120, verify: Verify = None,
+                   validate: bool = True, tracer=None,
+                   jobs: Optional[int] = None, cache=None,
+                   metrics=None) -> ExperimentResult:
     """Run experiment *name* on a fresh copy of *module*.
 
-    ``verify`` is an optional list of ``(function_name, args)`` pairs;
-    the observable trace of each is compared before and after the whole
-    pipeline, making every experiment self-checking.  ``tracer`` (an
+    ``verify`` runs are compared before and after the pipeline, making
+    every experiment self-checking.  ``tracer`` (a
     :class:`repro.observability.Tracer`) records per-phase spans, IR
-    deltas and decision counters; ``None`` installs the zero-overhead
-    null tracer.  ``jobs`` shards the module's functions across a
-    worker pool (see :mod:`repro.parallel`): ``None`` reads
-    ``$REPRO_JOBS`` (default 1 = serial), ``0`` uses every core;
-    results are merged deterministically, so output is identical at
-    any job count.  ``cache`` enables the persistent compilation cache
-    (:mod:`repro.cache`): a :class:`~repro.cache.CompilationCache`, a
-    directory path, or ``None`` to consult ``$REPRO_CACHE`` (unset =
-    no caching); output is identical cache-hot and cache-cold.
-    ``metrics`` (a :class:`~repro.observability.MetricsRegistry`,
-    ideally fresh per run) records latency histograms and traffic
-    counters into ``result.metrics``; ``None`` installs the
-    zero-overhead null registry.  Neither observability knob changes
-    a single output byte.  ``pool`` (a
-    :class:`~repro.parallel.WorkerPool`) reuses a persistent executor
-    instead of forking per call -- same merge, same bytes, no per-call
-    fork cost.
+    deltas and decision counters, ``metrics`` (a
+    :class:`~repro.observability.MetricsRegistry`) latency histograms
+    and traffic counters; ``None`` installs the zero-overhead null
+    recorder, and neither changes an output byte.  ``jobs`` shards the
+    functions across a worker pool (see :mod:`repro.parallel`);
+    ``cache`` is a :class:`~repro.cache.CompilationCache`, a directory,
+    or ``None`` to consult ``$REPRO_CACHE``.  Every path ends in
+    :func:`assemble`, so output is identical at any job count and cache
+    temperature.
     """
-    phases = EXPERIMENTS[name]
     from .cache import resolve_cache
-    from .parallel import fork_available, resolve_jobs
+    from .parallel import resolve_jobs, run_phases_parallel
 
+    phases = EXPERIMENTS[name]
     cache = resolve_cache(cache)
-    configured = pool.workers if pool is not None else resolve_jobs(jobs)
-    if configured > 1 and len(module.functions) > 1 and fork_available():
-        from .parallel import run_phases_parallel
-
+    if resolve_jobs(jobs) > 1:
         return run_phases_parallel(module, name, phases, options, target,
                                    verify, validate, tracer, jobs=jobs,
-                                   cache=cache, metrics=metrics,
-                                   pool=pool)
+                                   cache=cache, metrics=metrics)
     return run_phases(module, name, phases, options, target, verify,
                       validate, tracer, cache=cache, metrics=metrics)
 
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
-    """Per-function IR measures, diffed around every phase when a
-    recording tracer is installed (never called on the null path)."""
+    """Per-function IR measures (never taken on the null path)."""
     return {f.name: {"instructions": count_instructions(f),
                      "moves": count_moves(f),
                      "phis": count_phis(f)}
             for f in module.iter_functions()}
 
 
-def _phase_entry(phase: str, span, before: dict, after: dict) -> dict:
-    """One ``phases[]`` entry of the ``repro.stats/v1`` document."""
+_EMPTY_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
+
+
+def phase_entry(phase: str, timing: tuple[int, int, int],
+                measures: dict) -> dict:
+    """One ``phases[]`` entry of the ``repro.stats/v1`` document.
+
+    *measures* maps each function to its IR measures ``{"before",
+    "after"}`` around *phase*; a missing side counts as zeros, so a
+    function the phase removed still reports its (negative) delta and
+    one it added its positive delta.  *timing* is the phase's ``(seq,
+    start_ns, duration_ns)``."""
     functions = {}
-    totals = {"instructions": 0, "moves": 0, "phis": 0}
-    empty = {"instructions": 0, "moves": 0, "phis": 0}
-    # Iterate the *union* of the two snapshots: a function present
-    # before the phase but absent after it (removed by the pass) must
-    # still contribute its (negative) delta, reported with an ``after``
-    # of zeros -- iterating only ``after`` under-reports removals.
-    for fname in {**before, **after}:
-        b = before.get(fname, empty)
-        a = after.get(fname, empty)
+    totals = dict.fromkeys(_EMPTY_MEASURES, 0)
+    for fname, sides in measures.items():
+        b = sides.get("before", _EMPTY_MEASURES)
+        a = sides.get("after", _EMPTY_MEASURES)
         delta = {key: a[key] - b[key] for key in totals}
         functions[fname] = {"before": dict(b), "after": dict(a),
                             "delta": delta}
         for key in totals:
             totals[key] += delta[key]
     moves_delta = totals["moves"]
+    seq, start_ns, duration_ns = timing
     return {
         "phase": phase,
-        "seq": span.seq,
-        "start_ns": span.start_ns,
-        "duration_ns": span.duration_ns,
+        "seq": seq,
+        "start_ns": start_ns,
+        "duration_ns": duration_ns,
         "delta": {**totals,
                   # Net split of the move delta: a phase both inserting
                   # and removing copies reports the net direction only.
@@ -306,6 +314,82 @@ def _phase_entry(phase: str, span, before: dict, after: dict) -> dict:
                   "copies_removed": max(-moves_delta, 0)},
         "functions": functions,
     }
+
+
+def _phase_timings(tracer, root) -> dict[str, tuple[int, int, int]]:
+    """``(seq, start_ns, duration_ns)`` of every phase from the
+    ``phase:*`` spans after *root* (all when ``None``); the spans of
+    several shards fold to the first seq, earliest start, slowest run."""
+    timings: dict[str, tuple[int, int, int]] = {}
+    for span in reversed(tracer.spans):
+        if span is root:
+            break
+        if span.name.startswith("phase:"):
+            phase = span.name[len("phase:"):]
+            seq, start, duration = timings.get(
+                phase, (span.seq, span.start_ns, span.duration_ns))
+            timings[phase] = (min(seq, span.seq), min(start, span.start_ns),
+                              max(duration, span.duration_ns))
+    return timings
+
+
+def _sum_blocks(blocks: Iterable[dict]) -> dict:
+    """Integer blocks added key by key (first-seen key order)."""
+    total: dict = {}
+    for block in blocks:
+        for key, value in block.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+def assemble(module: Module, records: dict, name: str,
+             phases: Sequence[str], *, tracer=NULL_TRACER, root=None,
+             replay: Iterable[str] = (),
+             parts: Sequence[dict] = ()) -> ExperimentResult:
+    """Turn per-function *records* into the result of running *phases*
+    on *module*: the one merge behind serial runs, cache hits, ``--jobs``
+    shards and serve batches, so output never depends on which process
+    produced a record, or when.  Functions and ``phase_stats`` entries
+    follow *module*'s order; paper metrics are the records' sums; the
+    ``analysis_cache``/``cache`` blocks of *parts* (one per pipeline run
+    that produced records) are summed per key.  With a recording
+    *tracer*, the counters of the *replay* records (cache hits) are
+    added to it and ``phases[]`` is rebuilt from the records' IR
+    measures, timed by the ``phase:*`` spans recorded after *root*.
+    """
+    ordered = {fn_name: records[fn_name] for fn_name in module.functions
+               if fn_name in records}
+    merged = Module(module.name)
+    for record in ordered.values():
+        merged.add_function(record.function)
+    merged.externals = dict(module.externals)
+    result = ExperimentResult(
+        name=name, module=merged, tracer=tracer, records=ordered,
+        moves=sum(record.moves for record in ordered.values()),
+        weighted=sum(record.weighted for record in ordered.values()),
+        instructions=sum(record.instructions
+                         for record in ordered.values()),
+        analysis_cache=_sum_blocks(part["analysis_cache"]
+                                   for part in parts),
+        cache=_sum_blocks(part["cache"] for part in parts))
+    for phase in phases:
+        if phase != "ssa":
+            result.phase_stats[phase] = {
+                fn_name: record.phase_stats[phase]
+                for fn_name, record in ordered.items()
+                if phase in record.phase_stats}
+    if tracer.enabled:
+        for fn_name in replay:
+            for counter, value in records[fn_name].counters.items():
+                tracer.counters[counter] = \
+                    tracer.counters.get(counter, 0) + value
+        timings = _phase_timings(tracer, root)
+        for i, phase in enumerate(phases):
+            result.phase_breakdown.append(phase_entry(
+                phase, timings.get(phase, (0, 0, 0)),
+                {fn_name: record.breakdown[i]
+                 for fn_name, record in ordered.items()}))
+    return result
 
 
 def _phase_runner(phase: str, options: PhaseOptions, target: Target,
@@ -342,104 +426,59 @@ def _phase_runner(phase: str, options: PhaseOptions, target: Target,
     raise ValueError(f"unknown phase {phase!r}")
 
 
-_EMPTY_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}
+def observe(module: Module, verify: Verify, tracer) -> dict:
+    """The interpreter trace of every ``verify`` run on *module*."""
+    references = {}
+    if verify:
+        with tracer.span("verify:before"):
+            for fn_name, args in verify:
+                references[(fn_name, tuple(args))] = \
+                    run_module(module, fn_name, args,
+                               tracer=tracer).observable()
+    return references
 
 
-def _merge_cached(module: Module, work: Module, cached: dict,
-                  result: ExperimentResult, tracer) -> Module:
-    """Fold cache-hit payloads back into the run's outputs.
-
-    Rebuilds the module in the *input module's* function order (the
-    same determinism contract as the parallel merge), splices each
-    payload's per-phase pass statistics and IR measures into
-    ``phase_stats`` / ``phase_breakdown`` at their stable positions,
-    and replays the stored decision counters onto the tracer.
-    """
-    merged = Module(module.name)
-    for fn_name in module.functions:
-        if fn_name in cached:
-            merged.add_function(cached[fn_name]["function"])
-        elif fn_name in work.functions:
-            merged.add_function(work.functions[fn_name])
-    merged.externals = dict(module.externals)
-
-    order = {fn_name: i for i, fn_name in enumerate(module.functions)}
-    for payload in cached.values():
-        for phase in payload["phase_stats"]:
-            result.phase_stats.setdefault(phase, {})
-    result.phase_stats = {
-        phase: dict(sorted(
-            {**stats, **{fn_name: payload["phase_stats"][phase]
-                         for fn_name, payload in cached.items()
-                         if phase in payload["phase_stats"]}}.items(),
-            key=lambda item: order[item[0]]))
-        for phase, stats in result.phase_stats.items()}
-
-    if tracer.enabled:
-        for payload in cached.values():
-            for counter, value in payload["counters"].items():
-                tracer.counters[counter] = \
-                    tracer.counters.get(counter, 0) + value
-        for i, entry in enumerate(result.phase_breakdown):
-            functions = dict(entry["functions"])
-            for fn_name, payload in cached.items():
-                measures = payload["breakdown"][i]
-                b, a = measures["before"], measures["after"]
-                functions[fn_name] = {
-                    "before": dict(b), "after": dict(a),
-                    "delta": {key: a[key] - b[key] for key in a}}
-            entry["functions"] = dict(sorted(
-                functions.items(), key=lambda item: order[item[0]]))
-            totals = {key: sum(per_fn["delta"][key]
-                               for per_fn in functions.values())
-                      for key in _EMPTY_MEASURES}
-            moves_delta = totals["moves"]
-            entry["delta"] = {**totals,
-                              "copies_inserted": max(moves_delta, 0),
-                              "copies_removed": max(-moves_delta, 0)}
-    return merged
+def check_behaviour(name: str, module: Module, references: dict,
+                    tracer) -> None:
+    """Raise ``AssertionError`` if *module* changed an observed trace."""
+    if not references:
+        return
+    with tracer.span("verify:after"):
+        for (fn_name, args), reference in references.items():
+            after = run_module(module, fn_name, args,
+                               tracer=tracer).observable()
+            if after != reference:
+                raise AssertionError(
+                    f"{name}: {fn_name}{tuple(args)} changed "
+                    f"behaviour: {reference} -> {after}")
 
 
 def run_phases(module: Module, name: str, phases: Iterable[str],
                options: Optional[PhaseOptions] = None,
-               target: Target = ST120,
-               verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
-               validate: bool = True,
-               tracer=None,
-               cache=None,
-               metrics=None,
-               analyses: Optional[AnalysisManager] = None) \
-        -> ExperimentResult:
+               target: Target = ST120, verify: Verify = None,
+               validate: bool = True, tracer=None, cache=None,
+               metrics=None) -> ExperimentResult:
+    """Run *phases* on a copy of *module* in this process: cache hits
+    become records straight from the store, every other function is
+    compiled into a fresh :class:`FunctionRecord`, and :func:`assemble`
+    merges the two."""
     tracer = resolve_tracer(tracer)
     metrics = resolve_metrics(metrics)
-    # Hoisted once: the hot loops below guard *every* timing call and
-    # argument construction behind this bool, so the default (null
-    # registry) path performs no perf-counter reads and no allocations
-    # -- the same structural zero-overhead contract as the null tracer.
+    # Hoisted once: the hot loops guard *every* timing call behind this
+    # bool, so the null-registry path reads no perf counter at all.
     measuring = metrics.enabled
     options = options or PhaseOptions()
     phases = tuple(phases)
     work = module.copy()
-    result = ExperimentResult(name=name, module=work, tracer=tracer)
-    references = {}
-    # ``analyses`` lets a long-lived caller (a serve pool worker) keep
-    # one process-lifetime manager across runs; its ``analysis_cache``
-    # block then reports this run's deltas, not lifetime totals.
-    manager = analyses if analyses is not None else AnalysisManager(tracer)
-    analysis_mark = manager.stats() if analyses is not None else None
+    manager = AnalysisManager(tracer)
     cache_mark = cache.stats() if cache is not None else None
-    with tracer.span(f"experiment:{name}", experiment=name):
-        if verify:
-            with tracer.span("verify:before"):
-                for fn_name, args in verify:
-                    references[(fn_name, tuple(args))] = \
-                        run_module(module, fn_name, args,
-                                   tracer=tracer).observable()
+    with tracer.span(f"experiment:{name}", experiment=name) as root:
+        references = observe(module, verify, tracer)
 
         # Cache probe: hit functions leave the working module entirely
-        # (their stored results are merged back after the phase loop);
-        # only misses flow through the phases below.
-        cached: dict[str, dict] = {}
+        # (their stored records are merged back by ``assemble``); only
+        # misses flow through the phases below.
+        hits: dict[str, FunctionRecord] = {}
         miss_keys: dict[str, str] = {}
         if cache is not None:
             with tracer.span("cache:probe",
@@ -450,24 +489,25 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                     key = cache.key(function, phases, options, target)
                     if measuring:
                         probe_start = time.perf_counter_ns()
-                    payload = cache.probe(key)
+                    record = cache.probe(key)
                     if measuring:
                         probe_timer.observe(
                             (time.perf_counter_ns() - probe_start) / 1e9)
-                    if payload is None:
+                    if record is None:
                         miss_keys[function.name] = key
                     else:
-                        cached[function.name] = payload
+                        hits[function.name] = record
                         del work.functions[function.name]
                 if measuring:
-                    metrics.counter("cache.hits").inc(len(cached))
+                    metrics.counter("cache.hits").inc(len(hits))
                     metrics.counter("cache.misses").inc(len(miss_keys))
-        #: miss function -> per-phase IR measures and counter deltas,
-        #: captured so the stored entry can replay them on later hits.
-        records: dict[str, dict] = {
-            fn_name: {"counters": {}, "breakdown": []}
-            for fn_name in miss_keys}
-        recording = bool(records)
+        records = {function.name: FunctionRecord(function)
+                   for function in work.iter_functions()}
+        # Per-phase IR measures are recorded when tracing (for
+        # ``phases[]``) or caching (so a later hit can rebuild them);
+        # decision-counter deltas only when both, for replay on a hit.
+        recording = tracer.enabled or cache is not None
+        capture = tracer.enabled and cache is not None
 
         in_ssa = False
         #: function -> (epoch, cfg_epoch, in_ssa) at its last clean
@@ -479,13 +519,11 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         #: function -> accumulated compile ns across all phases, fed
         #: into the ``compile.function_seconds`` histogram at the end.
         function_ns: dict[str, int] = {}
+        before = _snapshot(work) if recording else None
         for phase in phases:
             runner = _phase_runner(phase, options, target, tracer, manager)
-            before = _snapshot(work) if tracer.enabled or recording \
-                else None
-            with tracer.span(f"phase:{phase}", phase=phase) as span:
-                stats = None if phase == "ssa" else {}
-                capture = tracer.enabled and recording
+            keep_stats = phase != "ssa"
+            with tracer.span(f"phase:{phase}", phase=phase):
                 # One observation per (phase, function): the histogram's
                 # count is worker-independent, its sum is the phase's
                 # self time.
@@ -502,15 +540,14 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                         function_ns[function.name] = \
                             function_ns.get(function.name, 0) + fn_ns
                         phase_timer.observe(fn_ns / 1e9)
-                    if stats is not None:
-                        stats[function.name] = value
+                    record = records[function.name]
+                    if keep_stats:
+                        record.phase_stats[phase] = value
                     if base is not None:
-                        deltas = records[function.name]["counters"]
+                        deltas = record.counters
                         for counter, total in tracer.counters.items():
-                            # Pass *decision* counters replay exactly on
-                            # a later hit; ``analysis.*`` traffic belongs
-                            # to whichever run actually executed (a warm
-                            # run has its own) and is never replayed.
+                            # Only *decision* counters replay on a hit;
+                            # ``analysis.*`` traffic is the run's own.
                             if counter.startswith("analysis."):
                                 continue
                             delta = total - base.get(counter, 0)
@@ -521,22 +558,17 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                 in_ssa = True
             elif phase == "out-of-pinned-ssa":
                 in_ssa = False
-            after = _snapshot(work) if tracer.enabled or recording \
-                else None
             if recording:
+                after = _snapshot(work)
                 for fn_name, record in records.items():
-                    record["breakdown"].append(
+                    record.breakdown.append(
                         {"phase": phase,
                          "before": before.get(fn_name, _EMPTY_MEASURES),
                          "after": after.get(fn_name, _EMPTY_MEASURES)})
+                before = after
             for function in work.iter_functions():
                 manager.invalidate(function,
                                    preserves=PHASE_PRESERVES[phase])
-            if stats is not None:
-                result.phase_stats[phase] = stats
-            if tracer.enabled:
-                result.phase_breakdown.append(
-                    _phase_entry(phase, span, before, after))
             if validate:
                 with tracer.span(f"validate:{phase}"):
                     for function in work.iter_functions():
@@ -547,50 +579,30 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                                           allow_phis=in_ssa)
                         validated[function] = stamp
 
+        for record in records.values():  # phases rewrite functions in place
+            function = record.function
+            record.moves = count_moves(function)
+            record.weighted = weighted_moves(function, analyses=manager)
+            record.instructions = count_instructions(function)
         if cache is not None and miss_keys:
             with tracer.span("cache:store", functions=len(miss_keys)):
                 store_timer = metrics.histogram("cache.store_seconds") \
                     if measuring else None
                 for fn_name, key in miss_keys.items():
-                    function = work.functions.get(fn_name)
-                    if function is None:
-                        continue  # removed by a pass: nothing to replay
                     if measuring:
                         store_start = time.perf_counter_ns()
-                    cache.store(key, {
-                        "function": function,
-                        "phase_stats": {
-                            phase: stats[fn_name]
-                            for phase, stats in result.phase_stats.items()
-                            if fn_name in stats},
-                        "counters": records[fn_name]["counters"],
-                        "breakdown": records[fn_name]["breakdown"],
-                    })
+                    cache.store(key, records[fn_name])
                     if measuring:
                         store_timer.observe(
                             (time.perf_counter_ns() - store_start) / 1e9)
-        if cached:
-            work = _merge_cached(module, work, cached, result, tracer)
-            result.module = work
 
-        if references:
-            with tracer.span("verify:after"):
-                for key, reference in references.items():
-                    fn_name, args = key
-                    after = run_module(work, fn_name, args,
-                                       tracer=tracer).observable()
-                    if after != reference:
-                        raise AssertionError(
-                            f"{name}: {fn_name}{tuple(args)} changed "
-                            f"behaviour: {reference} -> {after}")
-
-        result.moves = count_moves(work)
-        result.weighted = weighted_moves(work, analyses=manager)
-        result.instructions = count_instructions(work)
-        result.analysis_cache = manager.stats() if analysis_mark is None \
-            else manager.stats_since(analysis_mark)
-        if cache is not None:
-            result.cache = cache.stats_since(cache_mark)
+        result = assemble(
+            module, {**records, **hits}, name, phases, tracer=tracer,
+            root=root, replay=hits,
+            parts=[{"analysis_cache": manager.stats(),
+                    "cache": cache.stats_since(cache_mark)
+                    if cache is not None else {}}])
+        check_behaviour(name, result.module, references, tracer)
         if measuring:
             function_timer = metrics.histogram("compile.function_seconds")
             for fn_name in sorted(function_ns):
@@ -599,13 +611,11 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
             metrics.counter("pipeline.functions").inc(
                 len(module.functions))
             analysis = result.analysis_cache
-            metrics.counter("analysis.hits").inc(analysis.get("hits", 0))
-            metrics.counter("analysis.misses").inc(
-                analysis.get("misses", 0))
-            metrics.counter("oracle.hits").inc(
-                analysis.get("oracle_hits", 0))
-            metrics.counter("oracle.misses").inc(
-                analysis.get("oracle_misses", 0))
+            for counter, key in (("analysis.hits", "hits"),
+                                 ("analysis.misses", "misses"),
+                                 ("oracle.hits", "oracle_hits"),
+                                 ("oracle.misses", "oracle_misses")):
+                metrics.counter(counter).inc(analysis.get(key, 0))
             # The oracle's per-run query batch: how many interference
             # verdicts one pipeline run asked for (a size, not a
             # latency -- hence the count ladder).
@@ -620,20 +630,15 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
     return result
 
 
-def _run_labelled(module: Module, specs, verify, validate, tracer,
-                  jobs, cache=None, metrics=None,
-                  pool=None) -> list[ExperimentResult]:
+def _run_labelled(module: Module, specs, verify: Verify, validate: bool,
+                  tracer, jobs: Optional[int], cache=None,
+                  metrics=None) -> list[ExperimentResult]:
     """Run ``(label, experiment, options)`` *specs*, serially or -- when
-    ``jobs`` allows -- one whole experiment per pool worker.
-
-    ``tracer`` may be a tracer instance (shared across all runs) or a
-    zero-argument factory such as the :class:`Tracer` class itself (one
-    fresh tracer per run, which is what per-run stats documents want);
-    ``metrics`` works the same way with
-    :class:`~repro.observability.MetricsRegistry`.  The parallel path
-    always gives each run its own tracer and registry.  ``pool`` reuses
-    a persistent :class:`~repro.parallel.WorkerPool` across calls.
-    """
+    ``jobs`` allows -- one whole experiment per pool worker.  ``tracer``
+    and ``metrics`` may be instances shared by all runs or factories
+    such as the :class:`Tracer` class (one fresh recorder per run, as
+    per-run stats documents want); the parallel path always gives each
+    run its own."""
     from .cache import resolve_cache
     from .parallel import run_experiments_parallel
 
@@ -642,32 +647,25 @@ def _run_labelled(module: Module, specs, verify, validate, tracer,
                                        validate=validate,
                                        traced=tracer is not None,
                                        jobs=jobs, cache=cache,
-                                       metriced=metrics is not None,
-                                       pool=pool)
+                                       metriced=metrics is not None)
     if results is not None:
         return results
     results = []
     for label, name, options in specs:
-        run_tracer = tracer() if callable(tracer) else tracer
-        run_metrics = metrics() if callable(metrics) else metrics
-        result = run_experiment(module, name, options=options,
-                                verify=verify, validate=validate,
-                                tracer=run_tracer, jobs=1, cache=cache,
-                                metrics=run_metrics)
+        result = run_experiment(
+            module, name, options=options, verify=verify,
+            validate=validate, jobs=1, cache=cache,
+            tracer=tracer() if callable(tracer) else tracer,
+            metrics=metrics() if callable(metrics) else metrics)
         result.name = label
         results.append(result)
     return results
 
 
-def run_table(module: Module, table: str,
-              verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
-              options: Optional[PhaseOptions] = None,
-              validate: bool = True,
-              tracer=None,
-              jobs: Optional[int] = None,
-              cache=None,
-              metrics=None,
-              pool=None) -> list[ExperimentResult]:
+def run_table(module: Module, table: str, verify: Verify = None,
+              options: Optional[PhaseOptions] = None, validate: bool = True,
+              tracer=None, jobs: Optional[int] = None, cache=None,
+              metrics=None) -> list[ExperimentResult]:
     """Run all experiments of one paper table on *module*.
 
     ``options``/``validate``/``tracer``/``cache``/``metrics`` are
@@ -678,26 +676,20 @@ def run_table(module: Module, table: str,
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, metrics=metrics)
 
 
-def run_experiments(module: Module,
-                    names: Optional[Sequence[str]] = None,
-                    verify: Optional[Sequence[tuple[str, Sequence[int]]]]
-                    = None,
+def run_experiments(module: Module, names: Optional[Sequence[str]] = None,
+                    verify: Verify = None,
                     options: Optional[PhaseOptions] = None,
-                    validate: bool = True,
-                    tracer=None,
-                    jobs: Optional[int] = None,
-                    cache=None,
-                    metrics=None,
-                    pool=None) -> list[ExperimentResult]:
+                    validate: bool = True, tracer=None,
+                    jobs: Optional[int] = None, cache=None,
+                    metrics=None) -> list[ExperimentResult]:
     """Run several experiments (default: the whole Table 1 matrix) on
-    *module*, optionally sharding them across a worker pool (``pool``
-    reuses a persistent :class:`~repro.parallel.WorkerPool`)."""
+    *module*, optionally sharding them across a worker pool."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, metrics=metrics)
 
 
 def table5_variants() -> dict[str, PhaseOptions]:
@@ -710,17 +702,12 @@ def table5_variants() -> dict[str, PhaseOptions]:
     }
 
 
-def run_table5(module: Module,
-               verify: Optional[Sequence[tuple[str, Sequence[int]]]] = None,
-               validate: bool = True,
-               tracer=None,
-               jobs: Optional[int] = None,
-               cache=None,
-               metrics=None,
-               pool=None) -> list[ExperimentResult]:
+def run_table5(module: Module, verify: Verify = None, validate: bool = True,
+               tracer=None, jobs: Optional[int] = None, cache=None,
+               metrics=None) -> list[ExperimentResult]:
     """Table 5: weighted move counts of the coalescer variants, using
     the full constrained pipeline (``Lφ,ABI+C``)."""
     specs = [(label, "Lphi,ABI+C", options)
              for label, options in table5_variants().items()]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics, pool=pool)
+                         cache=cache, metrics=metrics)

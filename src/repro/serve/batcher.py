@@ -1,33 +1,31 @@
 """Request batching: many in-flight compiles, one shard set.
 
 The server drains its queue into a *batch* and hands it here.  Every
-``(request, function)`` pair in the batch becomes one work unit;
-:func:`partition_units` runs the same deterministic greedy-LPT
-placement :func:`repro.parallel.partition_functions` uses inside a
-single module, but across request boundaries -- so one large request
-and five small ones fill the pool evenly instead of queueing behind
-each other.  Each worker task carries the sub-jobs of its shard
-grouped per request; the demux step reassembles every request's
-payloads (in shard-index order) with the :mod:`repro.parallel` merge
-helpers, which is what makes a batched response **byte-identical** to
-the serial CLI path: same module order, same ``phase_stats``
-sequencing, same summed counters.
+``(request, function)`` pair in the batch becomes one work unit, placed
+by the same deterministic greedy LPT (:func:`repro.parallel.partition`)
+that ``--jobs`` uses inside a single module -- so one large request and
+five small ones fill the pool evenly instead of queueing behind each
+other.  Each worker task runs :func:`repro.parallel.run_shard` once per
+request it holds; every request's function records are then merged by
+:func:`repro.pipeline.assemble`, the same merge as the serial CLI path,
+which is what makes a batched response **byte-identical** to it.
+Workers run untraced and unmetriced: the server records its own
+latency metrics.
 
 Failures stay per-request: a sub-job that raises (validation error,
 malformed IR that parsed but does not compile) turns into that
 request's ``{"ok": false}`` response; the other requests in the batch
 are unaffected.
 
-The serial path (no pool, pool broke, or a one-request batch on a
-one-function module) runs in the server process against the same
-process-lifetime cache and analysis manager, so cache heat is
+The serial path (no pool, or the pool broke twice) runs in the server
+process against the same process-lifetime cache, so cache heat is
 identical either way.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..ir.printer import format_module
@@ -35,15 +33,9 @@ from ..machine.st120 import ST120
 from ..machine.target import Target
 from ..metrics import count_instructions
 from ..observability.statdiff import stats_digest
-from ..parallel import (_merge_cache_stats, _merge_module,
-                        _merge_phase_stats, _merge_store_stats,
-                        _pool_cache, _pool_manager, _run_shard,
-                        fork_available, shard_module)
+from ..parallel import (ShardJob, fork_available, pack_shard, partition,
+                        run_shard)
 from .protocol import ProtocolError
-
-#: Workers run untraced and unmetriced: server-side latency metrics are
-#: recorded by the server itself, and the byte-identity contract is
-#: against the *untraced* serial CLI run.
 
 
 @dataclass
@@ -60,37 +52,17 @@ class ServeJob:
     shards: int = 0
 
 
-def partition_units(units: Sequence[tuple[int, int, object]],
-                    workers: int) -> list[list[object]]:
-    """Deterministic greedy-LPT partition of ``(weight, index, key)``
-    units into at most *workers* shards (heaviest first, original order
-    as tie-break, least-loaded shard wins, lowest index on ties).
-    Empty shards are dropped -- the cross-request twin of
-    :func:`repro.parallel.partition_functions`."""
-    ordered = sorted(units, key=lambda t: (-t[0], t[1]))
-    shards: list[list[object]] = [[] for _ in range(max(1, workers))]
-    loads = [0] * len(shards)
-    for weight, _, key in ordered:
-        target = min(range(len(shards)), key=lambda j: (loads[j], j))
-        shards[target].append(key)
-        loads[target] += weight
-    return [shard for shard in shards if shard]
-
-
 def plan_shards(jobs: Sequence[ServeJob],
                 workers: int) -> list[list[tuple[int, list[str]]]]:
     """LPT-place every ``(request, function)`` unit of the batch, then
     group each shard's units per request: the result is one entry per
     shard, each a list of ``(batch index, [function names])`` sub-jobs
     (batch order within a shard, so demux order is deterministic)."""
-    units = []
-    for j, job in enumerate(jobs):
-        for fn in job.request.module.iter_functions():
-            units.append((count_instructions(fn), len(units),
-                          (j, fn.name)))
-    shards = partition_units(units, workers)
+    units = [(count_instructions(fn), (j, fn.name))
+             for j, job in enumerate(jobs)
+             for fn in job.request.module.iter_functions()]
     planned = []
-    for shard in shards:
+    for shard in partition(units, workers):
         grouped: dict[int, list[str]] = {}
         for j, fn_name in shard:
             grouped.setdefault(j, []).append(fn_name)
@@ -98,48 +70,23 @@ def plan_shards(jobs: Sequence[ServeJob],
     return planned
 
 
-def _serve_shard_task(spec):
-    """Worker body for one batch shard (persistent pool, picklable).
-
-    Runs each request's sub-shard through the pipeline against this
-    worker's process-lifetime cache handle and analysis manager.
-    Failures are captured per sub-job, never raised: one bad request
-    must not break the batch (or trip the pool's respawn logic)."""
-    index, subjobs = spec
-    manager = _pool_manager()
+def _serve_shard_task(subjobs):
+    """Worker body for one batch shard: each ``(batch index,
+    ShardJob)`` sub-job through :func:`run_shard`.  Failures are
+    captured per sub-job, never raised: one bad request must not break
+    the batch (or trip the pool's respawn logic)."""
     out = []
-    for (j, shard, name, phases, options, target, validate,
-         cache) in subjobs:
+    for j, job in subjobs:
         try:
-            payload = _run_shard(shard, name, phases, options, target,
-                                 validate, False, _pool_cache(cache),
-                                 False, analyses=manager)
-            out.append((j, payload, None))
+            out.append((j, run_shard(job), None))
         except Exception as error:  # noqa: BLE001 -- per-request isolation
             out.append((j, None, f"{type(error).__name__}: {error}"))
-        finally:
-            manager.flush()
-    return index, out
+    return out
 
 
-def _respond(result_name: str, module, phase_stats: dict,
-             analysis_cache: dict, cache_stats: dict,
-             batch: dict) -> dict:
-    """Build the success response.  The stats document digested here is
-    exactly what an untraced serial :func:`repro.pipeline.run_phases`
-    produces for this request (the environment blocks -- ``parallel``,
-    ``cache``, ``analysis_cache`` -- are stripped by the digest), so
-    ``stats_digest`` matches the one-shot CLI at any jobs setting."""
-    from ..metrics import count_moves, weighted_moves
-    from ..pipeline import ExperimentResult
-
-    result = ExperimentResult(name=result_name, module=module,
-                              moves=count_moves(module),
-                              weighted=weighted_moves(module),
-                              instructions=count_instructions(module),
-                              phase_stats=phase_stats,
-                              analysis_cache=analysis_cache,
-                              cache=cache_stats)
+def _respond(result, batch: dict) -> dict:
+    """The success response for an untraced *result*; its digest strips
+    the environment blocks, so it matches the one-shot CLI's."""
     return {
         "ok": True,
         "experiment": result.name,
@@ -148,17 +95,16 @@ def _respond(result_name: str, module, phase_stats: dict,
         "weighted": result.weighted,
         "instructions": result.instructions,
         "stats_digest": stats_digest(result.to_stats()),
-        "analysis_cache": dict(analysis_cache),
-        "cache": dict(cache_stats),
+        "analysis_cache": dict(result.analysis_cache),
+        "cache": dict(result.cache),
         "batch": batch,
     }
 
 
 def _run_serial(jobs: Sequence[ServeJob], cache, target: Target,
-                validate: bool, analyses=None) -> None:
+                validate: bool) -> None:
     """In-process fallback: each request through ``run_phases`` against
-    the server's own cache handle and (optional) lifetime analysis
-    manager."""
+    the server's own cache handle."""
     from .. import pipeline as _pipeline
 
     for job in jobs:
@@ -167,38 +113,31 @@ def _run_serial(jobs: Sequence[ServeJob], cache, target: Target,
         try:
             result = _pipeline.run_phases(
                 request.module, request.experiment, request.phases,
-                request.options, target, None, validate, None,
-                cache=cache, analyses=analyses)
+                request.options, target, None, validate, None, cache=cache)
         except Exception as error:  # noqa: BLE001 -- per-request isolation
             job.response = {"ok": False,
                             "error": f"{type(error).__name__}: {error}"}
         else:
             job.response = _respond(
-                result.name, result.module, result.phase_stats,
-                result.analysis_cache, result.cache,
-                {"size": len(jobs), "mode": "serial", "shards": 1})
-        finally:
-            if analyses is not None:
-                analyses.flush()
+                result, {"size": len(jobs), "mode": "serial", "shards": 1})
         job.wall_s = time.perf_counter() - start
         job.shards = 1
 
 
-def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
-              target: Target = ST120, validate: bool = True,
-              analyses=None) -> None:
+def run_batch(jobs: Sequence[ServeJob], pool, cache=None,
+              target: Target = ST120, validate: bool = True) -> None:
     """Compile every job of the batch, filling ``job.response``.
 
     With a :class:`~repro.parallel.WorkerPool`, the whole batch becomes
-    one cross-request shard set (see :func:`plan_shards`); without one
+    one cross-request shard set (see :func:`plan_shards`); with ``None``
     -- or if the pool (and its respawned successor) broke -- requests
     run serially in-process.  Either way every job ends with a response
     dict (``ok`` true or false); this function does not raise for
     per-request failures.
     """
+    from ..pipeline import assemble
+
     jobs = [job for job in jobs if job.response is None]
-    if not jobs:
-        return
     # Parse here, in the batch worker thread: the event loop only ever
     # touched the fingerprint.  A parse failure is that request's error
     # response, nothing more.
@@ -214,55 +153,39 @@ def run_batch(jobs: Sequence[ServeJob], pool=None, cache=None,
     if not jobs:
         return
     if pool is None or not fork_available():
-        _run_serial(jobs, cache, target, validate, analyses=analyses)
+        _run_serial(jobs, cache, target, validate)
         return
 
-    cache_path = getattr(cache, "path", cache)
-    if cache_path is not None:
-        cache_path = str(cache_path)
     start = time.perf_counter()
-    planned = plan_shards(jobs, pool.workers)
-    specs = []
-    for i, subjobs in enumerate(planned):
-        spec_jobs = []
-        for j, names in subjobs:
-            request = jobs[j].request
-            spec_jobs.append((j, shard_module(request.module, names),
-                              request.experiment, request.phases,
-                              request.options, target, validate,
-                              cache_path))
-        specs.append((i, spec_jobs))
+    specs = [[(j, ShardJob(pack_shard(jobs[j].request.module, names),
+                           jobs[j].request.experiment,
+                           jobs[j].request.phases, jobs[j].request.options,
+                           target, validate, cache))
+              for j, names in subjobs]
+             for subjobs in plan_shards(jobs, pool.workers)]
     outcomes = pool.run(_serve_shard_task, specs)
     if outcomes is None:  # even the respawned pool broke: degrade
-        _run_serial(jobs, cache, target, validate, analyses=analyses)
+        _run_serial(jobs, cache, target, validate)
         return
     elapsed = time.perf_counter() - start
 
-    payloads: dict[int, list] = {j: [] for j in range(len(jobs))}
+    parts: dict[int, list] = {j: [] for j in range(len(jobs))}
     errors: dict[int, str] = {}
-    for index, results in sorted(outcomes):
+    for results in outcomes:
         for j, payload, error in results:
+            parts[j].append(payload)
             if error is not None:
                 errors.setdefault(j, error)
-            else:
-                payloads[j].append(payload)
-
-    batch_meta = {"size": len(jobs), "mode": "pool",
-                  "workers": len(planned)}
     for j, job in enumerate(jobs):
-        job.wall_s = elapsed
-        job.shards = sum(1 for subjobs in planned
-                         for k, _ in subjobs if k == j)
+        job.wall_s, job.shards = elapsed, len(parts[j])
         if j in errors:
             job.response = {"ok": False, "error": errors[j]}
             continue
         request = job.request
-        order = {name: i
-                 for i, name in enumerate(request.module.functions)}
-        merged = _merge_module(request.module, payloads[j])
-        job.response = _respond(
-            request.experiment, merged,
-            _merge_phase_stats(payloads[j], order),
-            _merge_cache_stats(payloads[j]),
-            _merge_store_stats(payloads[j]),
-            {**batch_meta, "shards": job.shards})
+        result = assemble(request.module,
+                          {fn_name: record for part in parts[j]
+                           for fn_name, record in part["records"].items()},
+                          request.experiment, request.phases, parts=parts[j])
+        job.response = _respond(result, {"size": len(jobs), "mode": "pool",
+                                         "workers": len(specs),
+                                         "shards": job.shards})

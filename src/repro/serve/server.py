@@ -3,18 +3,17 @@
 One process owns the expensive state a one-shot CLI run rebuilds every
 time: the imported compiler, a persistent
 :class:`~repro.parallel.WorkerPool` (forked once at startup, respawned
-on ``BrokenProcessPool``), one process-lifetime
+on ``BrokenProcessPool``) and one process-lifetime
 :class:`~repro.cache.CompilationCache` (a private temporary directory
-unless ``--cache-dir`` pins it) and per-worker
-:class:`~repro.analysis.manager.AnalysisManager`\\ s.  Requests arrive
-over a unix socket (NDJSON, see :mod:`.protocol`) and optionally a
-minimal localhost HTTP listener; concurrent in-flight compiles are
-coalesced by the batch loop into one cross-request shard set
-(:mod:`.batcher`), and identical requests collapse via the cache-key
-fingerprint twice over: concurrent ones ride the same in-flight
-future, repeats hit a bounded response memo and skip compilation (and
-parsing) entirely -- compilation is deterministic, so byte-identical
-input through an identical pipeline owns its response bytes.
+unless ``--cache-dir`` pins it).  Requests arrive over a unix socket
+(NDJSON, see :mod:`.protocol`) and optionally a minimal localhost HTTP
+listener; concurrent in-flight compiles are coalesced by the batch loop
+into one cross-request shard set (:mod:`.batcher`), and identical
+requests collapse via the cache-key fingerprint twice over: concurrent
+ones ride the same in-flight future, repeats hit a bounded response
+memo and skip compilation (and parsing) entirely -- compilation is
+deterministic, so byte-identical input through an identical pipeline
+owns its response bytes.
 
 Everything observable is live: ``stats`` reports queue depth, pool
 health, dedup and latency percentiles; ``metrics`` serves the
@@ -46,7 +45,6 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ..analysis.manager import AnalysisManager
 from ..cache import resolve_cache
 from ..ir.function import Module
 from ..machine.st120 import ST120
@@ -104,9 +102,6 @@ class CompileServer:
             self.cache = resolve_cache(self._cache_tempdir)
         self.ledger = resolve_ledger(ledger)
         self.metrics = MetricsRegistry()
-        #: Serial-path lifetime analysis manager (jobs=1 twin of the
-        #: pool workers' process-lifetime managers).
-        self.analyses = AnalysisManager()
         self.started = time.time()
         self.worker_pids: list[int] = []
         self._rid = 0
@@ -339,10 +334,9 @@ class CompileServer:
         try:
             await self._loop.run_in_executor(
                 self._executor,
-                functools.partial(run_batch, batch, pool=self.pool,
+                functools.partial(run_batch, batch, self.pool,
                                   cache=self.cache, target=self.target,
-                                  validate=self.validate,
-                                  analyses=self.analyses))
+                                  validate=self.validate))
         except Exception as error:  # noqa: BLE001 -- batch must answer
             for job in batch:
                 if job.response is None:

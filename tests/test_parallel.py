@@ -16,8 +16,8 @@ import pytest
 from repro.benchgen import load_suite
 from repro.ir.printer import format_module
 from repro.observability import Tracer, validate_stats
-from repro.parallel import (fork_available, partition_functions,
-                            resolve_jobs)
+from repro.metrics import count_instructions
+from repro.parallel import fork_available, partition, resolve_jobs
 from repro.pipeline import (TABLE_EXPERIMENTS, PhaseOptions,
                             run_experiment, run_experiments, run_table,
                             run_table5)
@@ -86,22 +86,44 @@ class TestJobResolution:
         assert resolve_jobs(None) == 1
 
 
+def function_units(module):
+    return [(count_instructions(f), f.name) for f in module.iter_functions()]
+
+
+def partition_inputs(kernels):
+    """The two callers' units: one module's functions (``--jobs``) and
+    every ``(request, function)`` pair of a serve batch."""
+    modules = [kernels.module, module_of(TWO_FUNCTIONS), kernels.module]
+    cross_request = [(weight, (j, name))
+                     for j, module in enumerate(modules)
+                     for weight, name in function_units(module)]
+    return {"module": function_units(kernels.module),
+            "cross-request": cross_request}
+
+
 class TestPartition:
     def test_covers_every_function_once(self, kernels):
-        for workers in (1, 2, 4, 7):
-            shards = partition_functions(kernels.module, workers)
-            names = [n for shard in shards for n in shard]
-            assert sorted(names) == sorted(kernels.module.functions)
-            assert len(shards) <= workers
+        for units in partition_inputs(kernels).values():
+            for workers in (1, 2, 4, 7):
+                shards = partition(units, workers)
+                keys = [key for shard in shards for key in shard]
+                assert sorted(keys) == sorted(key for _, key in units)
+                assert len(shards) <= workers
 
     def test_deterministic(self, kernels):
-        assert partition_functions(kernels.module, 4) == \
-            partition_functions(kernels.module, 4)
+        for units in partition_inputs(kernels).values():
+            assert partition(units, 4) == partition(list(units), 4)
 
     def test_more_workers_than_functions(self):
         module = module_of(TWO_FUNCTIONS)
-        shards = partition_functions(module, 16)
+        shards = partition(function_units(module), 16)
         assert len(shards) == 2
+
+    def test_ties_keep_list_order(self):
+        # Equal weights: list order decides, and the least-loaded
+        # shard with the lowest index wins -- shard plans are stable.
+        units = [(5, "a"), (5, "b"), (9, "c"), (5, "d")]
+        assert partition(units, 2) == [["c", "d"], ["a", "b"]]
 
 
 class TestSerialParallelEquivalence:
@@ -230,7 +252,7 @@ endfunc
                                               monkeypatch):
         import repro.parallel as par
 
-        monkeypatch.setattr(par, "_run_pool",
+        monkeypatch.setattr(par.WorkerPool, "run",
                             lambda *args, **kwargs: None)
         result = run_experiment(kernels.module, "C", jobs=2)
         assert not result.parallel  # served by the serial path
@@ -245,6 +267,16 @@ endfunc
         result = run_experiment(kernels.module, "C", jobs=4)
         assert not result.parallel
 
+    def test_unpicklable_module_runs_experiments_serially(self):
+        module = module_of(TWO_FUNCTIONS)
+        module.add_external("ext", lambda *args: 0)
+        results = run_table(module, "table2", jobs=2)
+        assert not any(result.parallel for result in results)
+        assert "ext" in results[0].module.externals
+        # Function shards leave externals behind, so they still pool.
+        sharded = run_experiment(module, "C", jobs=2)
+        assert sharded.parallel and "ext" in sharded.module.externals
+
     def test_worker_exceptions_propagate(self, monkeypatch):
         # A Python-level failure inside a worker (here: an unknown
         # phase) must raise exactly as it would serially, not silently
@@ -257,10 +289,42 @@ endfunc
                                 ("ssa", "warp-drive"), jobs=2)
 
 
+def batch_of(module, experiments):
+    """Serve jobs compiling *module* under each of *experiments*."""
+    from repro.serve.batcher import ServeJob
+    from repro.serve.protocol import parse_compile
+
+    source = format_module(module)
+    return [ServeJob(rid, parse_compile({"source": source,
+                                         "experiment": experiment,
+                                         "name": module.name}))
+            for rid, experiment in enumerate(experiments)]
+
+
+def assert_batch_matches_serial(module, jobs):
+    for job in jobs:
+        assert job.response["ok"], job.response
+        serial = run_experiment(module, job.request.experiment, jobs=1)
+        assert job.response["module"] == format_module(serial.module)
+        assert job.response["moves"] == serial.moves
+
+
+def kill_worker(pool, pid):
+    """SIGKILL one pool worker and wait until the executor has noticed
+    (otherwise the next submission may race past the death)."""
+    import signal
+    import time
+
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while not pool._pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestWorkerPool:
-    """The persistent pool behind ``repro serve`` and ``pool=`` reuse:
-    workers fork once, survive across calls, and a killed worker is
-    respawned transparently (one retry, then serial fallback)."""
+    """The one pool behind ``--jobs`` and ``repro serve``: workers fork
+    once, survive across submissions, and a killed worker is respawned
+    transparently (one retry, then serial fallback)."""
 
     def test_warm_spawns_distinct_workers(self):
         from repro.parallel import WorkerPool
@@ -274,19 +338,20 @@ class TestWorkerPool:
 
     def test_workers_survive_across_runs(self, kernels):
         from repro.parallel import WorkerPool, _pool_ping
+        from repro.serve.batcher import run_batch
 
         with WorkerPool(2) as pool:
             before = set(pool.warm())
             executor = pool._pool
             for _ in range(2):
-                results = run_experiments(kernels.module,
-                                          ["Lphi,ABI+C", "C"],
-                                          pool=pool)
-                assert [r.name for r in results] == ["Lphi,ABI+C", "C"]
-            for table in ("table2",):
-                run_table(kernels.module, table, pool=pool)
+                jobs = batch_of(kernels.module, ["Lphi,ABI+C", "C"])
+                run_batch(jobs, pool)
+                assert [job.response["experiment"] for job in jobs] == \
+                    ["Lphi,ABI+C", "C"]
+                assert all(job.response["batch"]["mode"] == "pool"
+                           for job in jobs)
             # Same executor, same worker processes, no respawn: the
-            # whole point of passing ``pool=`` instead of ``jobs=``.
+            # whole point of a pool that outlives one submission.
             assert pool._pool is executor
             assert pool.respawns == 0
             after = set(pool.run(_pool_ping, [0.05, 0.05]))
@@ -294,26 +359,20 @@ class TestWorkerPool:
 
     def test_pool_results_match_serial(self, kernels):
         from repro.parallel import WorkerPool
+        from repro.serve.batcher import run_batch
 
-        serial = run_experiments(kernels.module, ["Lphi,ABI+C", "C"],
-                                 jobs=1)
+        jobs = batch_of(kernels.module, ["Lphi,ABI+C", "C"])
         with WorkerPool(2) as pool:
-            pooled = run_experiments(kernels.module,
-                                     ["Lphi,ABI+C", "C"], pool=pool)
-        assert [(r.moves, r.weighted) for r in serial] == \
-            [(r.moves, r.weighted) for r in pooled]
-        assert [format_module(r.module) for r in serial] == \
-            [format_module(r.module) for r in pooled]
+            run_batch(jobs, pool)
+        assert_batch_matches_serial(kernels.module, jobs)
 
     def test_respawn_after_worker_killed(self):
-        import signal
-
         from repro.parallel import WorkerPool, _pool_ping
 
         with WorkerPool(2) as pool:
             pids = pool.warm()
             assert pids
-            os.kill(pids[0], signal.SIGKILL)
+            kill_worker(pool, pids[0])
             # The next submission trips BrokenProcessPool; the pool
             # must respawn and retry, not fail or fall serial.
             result = pool.run(_pool_ping, [0.0])
@@ -322,37 +381,34 @@ class TestWorkerPool:
             assert pool.ping()
 
     def test_killed_worker_does_not_break_experiments(self, kernels):
-        import signal
-
         from repro.parallel import WorkerPool
+        from repro.serve.batcher import run_batch
 
-        serial = run_experiments(kernels.module, ["Lphi,ABI+C", "C"],
-                                 jobs=1)
+        jobs = batch_of(kernels.module, ["Lphi,ABI+C", "C"])
         with WorkerPool(2) as pool:
             pids = pool.warm()
-            os.kill(pids[-1], signal.SIGKILL)
-            pooled = run_experiments(kernels.module,
-                                     ["Lphi,ABI+C", "C"], pool=pool)
-        assert [(r.moves, r.weighted) for r in serial] == \
-            [(r.moves, r.weighted) for r in pooled]
+            kill_worker(pool, pids[-1])
+            run_batch(jobs, pool)
+            assert pool.respawns >= 1
+        assert_batch_matches_serial(kernels.module, jobs)
 
 
 class TestPhaseEntryUnion:
-    """Regression: ``_phase_entry`` iterated only the *after* snapshot,
-    silently dropping functions removed by a phase from the deltas."""
+    """Regression: the ``phases[]`` entry builder once iterated only the
+    *after* side, silently dropping functions removed by a phase from
+    the deltas.  A missing side of a function's measures counts as
+    zeros."""
 
     def test_removed_function_reported_with_zero_after(self):
-        from repro.pipeline import _phase_entry
+        from repro.pipeline import phase_entry
 
-        class FakeSpan:
-            seq = 7
-            start_ns = 0
-            duration_ns = 1
-
-        before = {"keep": {"instructions": 4, "moves": 1, "phis": 0},
-                  "gone": {"instructions": 10, "moves": 3, "phis": 2}}
-        after = {"keep": {"instructions": 3, "moves": 1, "phis": 0}}
-        entry = _phase_entry("dce", FakeSpan(), before, after)
+        measures = {
+            "keep": {"before": {"instructions": 4, "moves": 1, "phis": 0},
+                     "after": {"instructions": 3, "moves": 1, "phis": 0}},
+            "gone": {"before": {"instructions": 10, "moves": 3,
+                                "phis": 2}}}
+        entry = phase_entry("dce", (7, 0, 1), measures)
+        assert entry["seq"] == 7
         assert set(entry["functions"]) == {"keep", "gone"}
         gone = entry["functions"]["gone"]
         assert gone["after"] == {"instructions": 0, "moves": 0, "phis": 0}
@@ -364,16 +420,11 @@ class TestPhaseEntryUnion:
         assert entry["delta"]["copies_inserted"] == 0
 
     def test_added_function_still_counted(self):
-        from repro.pipeline import _phase_entry
+        from repro.pipeline import phase_entry
 
-        class FakeSpan:
-            seq = 0
-            start_ns = 0
-            duration_ns = 1
-
-        before = {}
-        after = {"new": {"instructions": 5, "moves": 2, "phis": 1}}
-        entry = _phase_entry("outline", FakeSpan(), before, after)
+        measures = {"new": {"after": {"instructions": 5, "moves": 2,
+                                      "phis": 1}}}
+        entry = phase_entry("outline", (0, 0, 1), measures)
         new = entry["functions"]["new"]
         assert new["before"] == {"instructions": 0, "moves": 0, "phis": 0}
         assert entry["delta"]["instructions"] == 5

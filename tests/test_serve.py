@@ -24,6 +24,7 @@ import pytest
 
 from repro.benchgen import SUITE_NAMES, load_suite
 from repro.ir.printer import format_module
+from repro.lai import parse_module
 from repro.observability.ledger import RunLedger
 from repro.observability.statdiff import stats_digest
 from repro.parallel import fork_available
@@ -58,6 +59,11 @@ def serial_reference(suite_name, experiment="Lphi,ABI+C", options=None):
 
 def suite_source(suite_name):
     return format_module(load_suite(suite_name).module)
+
+
+def assert_roundtrips(text):
+    """A response's module text parses back and reprints identically."""
+    assert format_module(parse_module(text)) == text
 
 
 # ----------------------------------------------------------------------
@@ -114,6 +120,7 @@ def test_responses_byte_identical_at_any_jobs(sock_dir, jobs):
                 text, digest = serial_reference(suite_name)
                 assert response["module"] == text
                 assert response["stats_digest"] == digest
+                assert_roundtrips(response["module"])
 
 
 def test_variant_and_experiment_routing(sock_dir):
@@ -127,12 +134,14 @@ def test_variant_and_experiment_routing(sock_dir):
                 text, digest = serial_reference("VALcc1", experiment)
                 assert (response["module"], response["stats_digest"]) \
                     == (text, digest)
+                assert_roundtrips(response["module"])
             response = client.compile(source, variant="opt",
                                       name="VALcc1")
             text, digest = serial_reference(
                 "VALcc1", options=table5_variants()["opt"])
             assert (response["module"], response["stats_digest"]) \
                 == (text, digest)
+            assert_roundtrips(response["module"])
 
 
 def test_memo_and_dedup_serve_identical_bytes(sock_dir):
@@ -149,6 +158,7 @@ def test_memo_and_dedup_serve_identical_bytes(sock_dir):
     assert all(r["ok"] for r in responses)
     assert {r["module"] for r in responses} == {text}
     assert {r["stats_digest"] for r in responses} == {digest}
+    assert_roundtrips(text)
     # 16 identical requests cannot have compiled 16 times: the
     # in-flight dedup and the response memo absorb the repeats.
     stats = server._lifetime_stats()
@@ -192,6 +202,7 @@ def test_concurrent_mixed_requests_batch_and_stay_correct(sock_dir):
         text, digest = references[suite_name]
         assert response["module"] == text
         assert response["stats_digest"] == digest
+        assert_roundtrips(response["module"])
     stats = server._lifetime_stats()
     # Coalescing happened: fewer batches than batched requests.
     assert stats["batches"] < stats["batched_requests"]
