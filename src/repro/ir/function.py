@@ -117,11 +117,13 @@ class Function:
     def new_var(self, base: str = "t",
                 regclass: RegClass = RegClass.GPR,
                 origin: Optional[PhysReg] = None) -> Var:
-        """Create a fresh variable named ``base.N``.
+        """Create a fresh variable named ``base.N<k>``.
 
         Freshness is guaranteed by a per-function monotonically increasing
-        counter; user-written names must not contain ``.N#`` suffixes
-        (the LAI lexer rejects them).
+        counter.  The LAI lexer accepts such names (printed outputs
+        contain them and must parse back), so user-written names should
+        avoid ``.N<digits>`` suffixes: one could collide with a later
+        fresh name.  Parsing does not advance the counter.
         """
         self._temp_counter += 1
         return Var(f"{base}.N{self._temp_counter}", regclass, origin)

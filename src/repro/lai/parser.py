@@ -28,300 +28,380 @@ them visually distinct from variables.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.function import Function, Module
 from ..ir.instructions import OPCODES, Instruction, Operand
-from ..ir.types import Imm, PhysReg, RegClass, Resource, Value, Var
+from ..ir.types import Imm, RegClass, Var
 from ..machine.st120 import ST120
 from ..machine.target import Target
-from .lexer import LaiSyntaxError, Token, tokenize
+from .lexer import LaiSyntaxError, scan
+
+#: Opcodes with a syntax of their own.
+_SPECIAL = frozenset(("call", "pcopy", "br", "cbr", "ret", "input"))
+#: Def count of every other opcode but ``phi``: these take a plain
+#: operand list (defs first) and an optional ``#offset``.
+_PLAIN = {name: spec.n_defs or 0 for name, spec in OPCODES.items()
+          if name not in _SPECIAL and name != "phi"}
 
 
 class Parser:
+    """One pass over the token list of one source text.
+
+    The methods take the index of the token to start at and return the
+    index after what they parsed; tokens are ``(kind, text, line,
+    column)`` tuples (:func:`~repro.lai.lexer.scan`).  Only PUNCT
+    tokens have punctuation as text, so a punctuation check compares
+    the text alone.  Every method reads a token only after the token
+    before it proved not to be EOF, the last one, so no index runs off
+    the list.  Operands are built without a def/use flag: the
+    :class:`~repro.ir.instructions.Instruction` they land in sets it.
+    """
+
     def __init__(self, source: str, target: Target = ST120) -> None:
-        self.tokens = list(tokenize(source))
-        self.pos = 0
+        self.tokens = scan(source)
         self.target = target
-        self.function: Optional[Function] = None
+        self._registers = target.registers
         self._vars: dict[str, Var] = {}
+        #: The first ``phi`` written as a plain mnemonic: an operand
+        #: list carries no incoming labels, so only ``x = phi(v:label,
+        #: ...)`` makes a phi.  Reported once the whole module parsed,
+        #: so that any other syntax error in it comes first.
+        self._phi_mnemonic: "tuple | None" = None
 
     # ------------------------------------------------------------------
-    # Token plumbing
+    # Errors
     # ------------------------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "EOF":
-            self.pos += 1
-        return token
-
-    def _error(self, message: str, token: Token) -> "LaiSyntaxError":
+    def _error(self, message: str, token: tuple) -> LaiSyntaxError:
         """A syntax error anchored at *token* (line, column, text)."""
-        return LaiSyntaxError(message, token.line,
-                              column=token.column or None,
-                              token=token.text or token.kind)
+        kind, text, line, column = token
+        return LaiSyntaxError(message, line, column=column or None,
+                              token=text or kind)
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._next()
-        if token.kind != kind or (text is not None and token.text != text):
-            want = text or kind
-            raise self._error(
-                f"expected {want!r}, found {token.text!r}", token)
-        return token
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self._peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self._next()
-        return None
-
-    def _skip_newlines(self) -> None:
-        while self._accept("NEWLINE"):
-            pass
+    def _expected(self, want: str, token: tuple) -> LaiSyntaxError:
+        return self._error(f"expected {want!r}, found {token[1]!r}", token)
 
     # ------------------------------------------------------------------
     # Values
     # ------------------------------------------------------------------
     def _var(self, name: str) -> Var:
-        if name not in self._vars:
-            regclass = RegClass.GPR
-            if name.startswith(("p_", "ptr_")):
-                regclass = RegClass.PTR
-            self._vars[name] = Var(name, regclass)
-        return self._vars[name]
+        regclass = RegClass.PTR if name.startswith(("p_", "ptr_")) \
+            else RegClass.GPR
+        var = self._vars[name] = Var(name, regclass)
+        return var
 
-    def _reg(self, name: str, token: Token) -> PhysReg:
-        reg = self.target.registers.get(name)
+    def _reg(self, token: tuple):
+        reg = self._registers.get(token[1])
         if reg is None:
-            raise self._error(f"unknown register {name!r}", token)
+            raise self._error(f"unknown register {token[1]!r}", token)
         return reg
 
-    def _parse_value(self) -> Value:
-        token = self._next()
-        if token.kind == "NUM":
-            return Imm(int(token.text, 0))
-        if token.kind == "REG":
-            return self._reg(token.text, token)
-        if token.kind == "IDENT":
-            return self._var(token.text)
-        raise self._error(f"expected operand, found {token.text!r}", token)
+    def _int(self, token: tuple) -> int:
+        try:
+            return int(token[1], 0)
+        except ValueError:
+            raise self._error(f"invalid integer literal {token[1]!r}",
+                              token) from None
 
-    def _parse_pin(self) -> Optional[Resource]:
-        if not self._accept("PUNCT", "^"):
-            return None
-        token = self._next()
-        if token.kind == "REG":
-            return self._reg(token.text, token)
-        if token.kind == "IDENT":
-            if token.text in self.target.registers:
-                return self._reg(token.text, token)
-            return self._var(token.text)
-        raise self._error(f"expected pin target, found {token.text!r}",
-                          token)
+    def _operand(self, i: int) -> tuple:
+        """``value`` or ``value^pin`` at token *i*: ``(Operand, next)``."""
+        tokens = self.tokens
+        token = tokens[i]
+        kind = token[0]
+        if kind == "IDENT":
+            value = self._vars.get(token[1]) or self._var(token[1])
+        elif kind == "NUM":
+            value = Imm(self._int(token))
+        elif kind == "REG":
+            value = self._reg(token)
+        else:
+            raise self._error(f"expected operand, found {token[1]!r}",
+                              token)
+        if tokens[i + 1][1] != "^":
+            return Operand(value), i + 1
+        token = tokens[i + 2]
+        kind = token[0]
+        if kind == "IDENT":
+            pin = self._registers.get(token[1]) or \
+                self._vars.get(token[1]) or self._var(token[1])
+        elif kind == "REG":
+            pin = self._reg(token)
+        else:
+            raise self._error(f"expected pin target, found {token[1]!r}",
+                              token)
+        if value.__class__ is Imm:
+            raise self._error("an immediate operand cannot be pinned",
+                              tokens[i + 1])
+        return Operand(value, pin), i + 3
 
-    def _parse_operand(self, is_def: bool = False) -> Operand:
-        value = self._parse_value()
-        pin = self._parse_pin()
-        return Operand(value, pin, is_def)
-
-    def _parse_operand_list(self, is_def: bool = False) -> list[Operand]:
-        operands = [self._parse_operand(is_def)]
-        while self._accept("PUNCT", ","):
-            operands.append(self._parse_operand(is_def))
-        return operands
+    def _operands(self, i: int) -> tuple:
+        """``operand (, operand)*`` at token *i*: ``(list, next)``."""
+        tokens = self.tokens
+        operand, i = self._operand(i)
+        operands = [operand]
+        while tokens[i][1] == ",":
+            operand, i = self._operand(i + 1)
+            operands.append(operand)
+        return operands, i
 
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
     def parse_module(self, name: str = "module") -> Module:
+        tokens = self.tokens
         module = Module(name)
-        self._skip_newlines()
-        while self._peek().kind != "EOF":
-            module.add_function(self._parse_function())
-            self._skip_newlines()
+        i = 0
+        while tokens[i][0] == "NEWLINE":
+            i += 1
+        while tokens[i][0] != "EOF":
+            i = self._function(module, i)
+            while tokens[i][0] == "NEWLINE":
+                i += 1
+        if self._phi_mnemonic is not None:
+            raise self._error("phi takes assignment syntax "
+                              "'x = phi(v:label, ...)'", self._phi_mnemonic)
         return module
 
-    def _parse_function(self) -> Function:
-        self._expect("IDENT", "func")
-        name_token = self._expect("IDENT")
-        self._expect("NEWLINE")
-        self.function = Function(name_token.text)
+    def _function(self, module: Module, i: int) -> int:
+        """``func NAME`` ... ``endfunc`` at token *i*, added to *module*."""
+        tokens = self.tokens
+        token = tokens[i]
+        if token[0] != "IDENT" or token[1] != "func":
+            raise self._expected("func", token)
+        name_token = tokens[i + 1]
+        if name_token[0] != "IDENT":
+            raise self._expected("IDENT", name_token)
+        token = tokens[i + 2]
+        if token[0] != "NEWLINE":
+            raise self._expected("NEWLINE", token)
+        i += 3
+        function = Function(name_token[1])
         self._vars = {}
+        blocks = function.blocks
         current = None
-        self._skip_newlines()
+        while tokens[i][0] == "NEWLINE":
+            i += 1
         while True:
-            token = self._peek()
-            if token.kind == "EOF":
+            token = tokens[i]
+            kind = token[0]
+            if kind == "IDENT":
+                text = token[1]
+                if text == "endfunc":
+                    i += 1
+                    if tokens[i][0] == "NEWLINE":
+                        i += 1
+                    break
+                if tokens[i + 1][1] == ":":  # a label
+                    if text in blocks:
+                        raise self._error(
+                            f"duplicate block label {text!r}", token)
+                    current = function.add_block(text)
+                    i += 2
+                    if tokens[i][0] == "NEWLINE":
+                        i += 1
+                    continue
+            elif kind == "EOF":
                 raise self._error(
-                    f"unterminated function {self.function.name!r} "
+                    f"unterminated function {function.name!r} "
                     f"(missing 'endfunc')", token)
-            if token.kind == "IDENT" and token.text == "endfunc":
-                self._next()
-                self._accept("NEWLINE")
-                break
-            # Label?
-            if (token.kind == "IDENT"
-                    and self.tokens[self.pos + 1].kind == "PUNCT"
-                    and self.tokens[self.pos + 1].text == ":"):
-                self._next()
-                self._expect("PUNCT", ":")
-                self._accept("NEWLINE")
-                current = self.function.add_block(token.text)
-                continue
             if current is None:
-                current = self.function.add_block("entry")
-            current.append(self._parse_instruction())
-            self._expect("NEWLINE")
-            self._skip_newlines()
-        function = self.function
-        self.function = None
-        return function
+                current = function.add_block("entry")
+            instruction, i = self._instruction(i)
+            current.append(instruction)
+            token = tokens[i]
+            if token[0] != "NEWLINE":
+                raise self._expected("NEWLINE", token)
+            i += 1
+            while tokens[i][0] == "NEWLINE":
+                i += 1
+        # Checked once the body parsed, so an error inside the body is
+        # the one reported.
+        if function.name in module.functions:
+            raise self._error(f"duplicate function {function.name!r}",
+                              name_token)
+        module.add_function(function)
+        return i
 
     # ------------------------------------------------------------------
     # Instructions
     # ------------------------------------------------------------------
-    def _parse_instruction(self) -> Instruction:
-        token = self._peek()
-        # "x = phi(...)" / "x = psi(...)" / "x^r = phi(...)"
-        if token.kind == "IDENT" and token.text not in OPCODES \
-                and token.text != "call":
-            after = self.tokens[self.pos + 1]
-            if after.kind == "PUNCT" and after.text in ("=", "^"):
-                return self._parse_assignment()
-            # Not assignment syntax: a mistyped mnemonic, reported as
-            # such instead of a puzzling "expected '='".
-            raise self._error(f"unknown opcode {token.text!r}", token)
-        mnemonic = self._expect("IDENT")
-        op = mnemonic.text
-        if op == "call":
-            return self._parse_call(mnemonic.line)
-        if op == "pcopy":
-            return self._parse_pcopy()
-        if op == "br":
-            target = self._expect("IDENT")
-            return Instruction("br", attrs={"targets": [target.text]})
-        if op == "cbr":
-            cond = self._parse_operand()
-            self._expect("PUNCT", ",")
-            taken = self._expect("IDENT").text
-            self._expect("PUNCT", ",")
-            fallthrough = self._expect("IDENT").text
-            if taken == fallthrough:
-                return Instruction("br", attrs={"targets": [taken]})
-            return Instruction("cbr", uses=[cond],
-                               attrs={"targets": [taken, fallthrough]})
-        if op == "ret":
-            uses = []
-            if self._peek().kind != "NEWLINE":
-                uses = self._parse_operand_list()
-            return Instruction("ret", uses=uses)
-        if op == "input":
-            defs = self._parse_operand_list(is_def=True)
-            return Instruction("input", defs=defs)
-        if op not in OPCODES:
-            raise self._error(f"unknown opcode {op!r}", mnemonic)
-        spec = OPCODES[op]
+    def _instruction(self, i: int) -> tuple:
+        """One instruction at token *i*: ``(Instruction, next)``."""
+        tokens = self.tokens
+        token = tokens[i]
+        op = token[1]
+        if token[0] != "IDENT":
+            raise self._expected("IDENT", token)
+        n_defs = _PLAIN.get(op)
+        if n_defs is None:
+            if op in _SPECIAL:
+                return self._special(op, i + 1)
+            if op != "phi":
+                # "x = phi(...)" / "x = psi(...)" / "x^r = phi(...)"
+                if tokens[i + 1][1] in ("=", "^"):
+                    return self._assignment(i)
+                # Not assignment syntax: a mistyped mnemonic, reported
+                # as such instead of a puzzling "expected '='".
+                raise self._error(f"unknown opcode {op!r}", token)
+            if self._phi_mnemonic is None:
+                self._phi_mnemonic = token
+            n_defs = 1
+        i += 1
         operands = []
         offset = 0
-        if self._peek().kind != "NEWLINE":
-            operands = [self._parse_operand()]
-            while self._accept("PUNCT", ","):
-                if self._accept("PUNCT", "#"):
-                    offset = int(self._expect("NUM").text, 0)
+        if tokens[i][0] != "NEWLINE":
+            operand, i = self._operand(i)
+            operands.append(operand)
+            while tokens[i][1] == ",":
+                i += 1
+                if tokens[i][1] == "#":
+                    token = tokens[i + 1]
+                    if token[0] != "NUM":
+                        raise self._expected("NUM", token)
+                    offset = self._int(token)
+                    i += 2
                     break
-                operands.append(self._parse_operand())
-        n_defs = spec.n_defs or 0
-        defs = operands[:n_defs]
-        uses = operands[n_defs:]
-        for d in defs:
-            d.is_def = True
-        attrs = {"offset": offset} if offset else None
-        return Instruction(op, defs, uses, attrs)
+                operand, i = self._operand(i)
+                operands.append(operand)
+        return Instruction(op, operands[:n_defs], operands[n_defs:],
+                           {"offset": offset} if offset else None), i
 
-    def _parse_assignment(self) -> Instruction:
-        dest = self._parse_operand(is_def=True)
-        self._expect("PUNCT", "=")
-        op_token = self._expect("IDENT")
-        if op_token.text == "phi":
-            return self._parse_phi(dest)
-        if op_token.text == "psi":
-            return self._parse_psi(dest)
-        raise self._error(
-            f"only phi/psi use assignment syntax, found {op_token.text!r}",
-            op_token)
+    def _special(self, op: str, i: int) -> tuple:
+        """The operands of *op* (one of :data:`_SPECIAL`) at token *i*."""
+        tokens = self.tokens
+        if op == "br":
+            token = tokens[i]
+            if token[0] != "IDENT":
+                raise self._expected("IDENT", token)
+            return Instruction("br", attrs={"targets": [token[1]]}), i + 1
+        if op == "cbr":
+            cond, i = self._operand(i)
+            targets = []
+            for _ in range(2):
+                token = tokens[i]
+                if token[1] != ",":
+                    raise self._expected(",", token)
+                token = tokens[i + 1]
+                if token[0] != "IDENT":
+                    raise self._expected("IDENT", token)
+                targets.append(token[1])
+                i += 2
+            if targets[0] == targets[1]:
+                return Instruction("br", attrs={"targets": targets[:1]}), i
+            return Instruction("cbr", uses=[cond],
+                               attrs={"targets": targets}), i
+        if op == "ret":
+            if tokens[i][0] == "NEWLINE":
+                return Instruction("ret"), i
+            uses, i = self._operands(i)
+            return Instruction("ret", uses=uses), i
+        if op == "input":
+            defs, i = self._operands(i)
+            return Instruction("input", defs=defs), i
+        if op == "call":
+            return self._call(i)
+        return self._pcopy(i)
 
-    def _parse_phi(self, dest: Operand) -> Instruction:
-        self._expect("PUNCT", "(")
+    def _assignment(self, i: int) -> tuple:
+        tokens = self.tokens
+        dest, i = self._operand(i)
+        token = tokens[i]
+        if token[1] != "=":
+            raise self._expected("=", token)
+        op_token = tokens[i + 1]
+        if op_token[0] != "IDENT":
+            raise self._expected("IDENT", op_token)
+        op = op_token[1]
+        if op != "phi" and op != "psi":
+            raise self._error(
+                f"only phi/psi use assignment syntax, found {op!r}",
+                op_token)
+        token = tokens[i + 2]
+        if token[1] != "(":
+            raise self._expected("(", token)
+        i += 3
+        # phi: ``value:label`` pairs; psi: ``guard ? value`` pairs.
         labels: list[str] = []
         uses: list[Operand] = []
         while True:
-            use = self._parse_operand()
-            self._expect("PUNCT", ":")
-            label = self._expect("IDENT")
+            use, i = self._operand(i)
             uses.append(use)
-            labels.append(label.text)
-            if not self._accept("PUNCT", ","):
+            token = tokens[i]
+            if op == "phi":
+                if token[1] != ":":
+                    raise self._expected(":", token)
+                token = tokens[i + 1]
+                if token[0] != "IDENT":
+                    raise self._expected("IDENT", token)
+                labels.append(token[1])
+                i += 2
+            else:
+                if token[1] != "?":
+                    raise self._expected("?", token)
+                use, i = self._operand(i + 1)
+                uses.append(use)
+            if tokens[i][1] != ",":
                 break
-        self._expect("PUNCT", ")")
-        return Instruction("phi", [dest], uses, {"incoming": labels})
+            i += 1
+        token = tokens[i]
+        if token[1] != ")":
+            raise self._expected(")", token)
+        if op == "phi":
+            return Instruction("phi", [dest], uses,
+                               {"incoming": labels}), i + 1
+        return Instruction("psi", [dest], uses), i + 1
 
-    def _parse_psi(self, dest: Operand) -> Instruction:
-        self._expect("PUNCT", "(")
-        uses: list[Operand] = []
-        while True:
-            guard = self._parse_operand()
-            self._expect("PUNCT", "?")
-            value = self._parse_operand()
-            uses.extend([guard, value])
-            if not self._accept("PUNCT", ","):
-                break
-        self._expect("PUNCT", ")")
-        return Instruction("psi", [dest], uses)
-
-    def _parse_call(self, line: int) -> Instruction:
+    def _call(self, i: int) -> tuple:
         # Forms:  call f(a, b)          no results
         #         call d = f(a, b)      one result
         #         call d, e = f(a)      several results
         # Results may be physical registers (``call $R0 = f(...)``, as
         # the printer writes ABI-constrained calls).
-        start = self.pos
-        operands: list[Operand] = []
-        callee: Optional[str] = None
-        token = self._peek()
-        if token.kind not in ("IDENT", "REG"):
+        tokens = self.tokens
+        token = tokens[i]
+        if token[0] != "IDENT" and token[0] != "REG":
             raise self._error(
                 "malformed call: expected callee or result list", token)
-        # Lookahead: IDENT '(' means no-result form.
-        if (token.kind == "IDENT"
-                and self.tokens[self.pos + 1].kind == "PUNCT"
-                and self.tokens[self.pos + 1].text == "("):
-            callee = self._next().text
+        defs: list[Operand] = []
+        if token[0] == "IDENT" and tokens[i + 1][1] == "(":
+            callee = token[1]
+            i += 1
         else:
-            operands = self._parse_operand_list(is_def=True)
-            self._expect("PUNCT", "=")
-            callee = self._expect("IDENT").text
-        self._expect("PUNCT", "(")
+            defs, i = self._operands(i)
+            token = tokens[i]
+            if token[1] != "=":
+                raise self._expected("=", token)
+            token = tokens[i + 1]
+            if token[0] != "IDENT":
+                raise self._expected("IDENT", token)
+            callee = token[1]
+            i += 2
+        token = tokens[i]
+        if token[1] != "(":
+            raise self._expected("(", token)
+        i += 1
         uses: list[Operand] = []
-        if not self._accept("PUNCT", ")"):
-            uses = self._parse_operand_list()
-            self._expect("PUNCT", ")")
-        return Instruction("call", operands, uses, {"callee": callee})
+        if tokens[i][1] != ")":
+            uses, i = self._operands(i)
+            token = tokens[i]
+            if token[1] != ")":
+                raise self._expected(")", token)
+        return Instruction("call", defs, uses, {"callee": callee}), i + 1
 
-    def _parse_pcopy(self) -> Instruction:
+    def _pcopy(self, i: int) -> tuple:
+        tokens = self.tokens
         defs: list[Operand] = []
         uses: list[Operand] = []
         while True:
-            dest = self._parse_operand(is_def=True)
-            self._expect("PUNCT", "<-")
-            src = self._parse_operand()
+            dest, i = self._operand(i)
+            token = tokens[i]
+            if token[1] != "<-":
+                raise self._expected("<-", token)
+            src, i = self._operand(i + 1)
             defs.append(dest)
             uses.append(src)
-            if not self._accept("PUNCT", ","):
+            if tokens[i][1] != ",":
                 break
-        return Instruction("pcopy", defs, uses)
+            i += 1
+        return Instruction("pcopy", defs, uses), i
 
 
 def parse_module(source: str, name: str = "module",

@@ -7,7 +7,9 @@
   corresponds to a static approximation where each loop would contain 5
   iterations" (Table 5);
 * :func:`count_instructions` -- total instruction count, used by the
-  compile-time-oriented reports.
+  compile-time-oriented reports;
+* :func:`ir_measures` -- instructions, moves and φs of one function in
+  a single walk (the per-phase measures of the stats document).
 
 φ-instruction convention
 ------------------------
@@ -86,6 +88,24 @@ def count_phis(item: Function | Module) -> int:
     that :func:`count_moves` will never see)."""
     return sum(sum(len(block.phis) for block in f.iter_blocks())
                for f in functions_of(item))
+
+
+def ir_measures(function: Function) -> dict[str, int]:
+    """``{"instructions", "moves", "phis"}`` of one function in one walk:
+    the values of :func:`count_instructions`, :func:`count_moves` and
+    :func:`count_phis` (only bodies are scanned for moves, since a φ is
+    never one)."""
+    instructions = moves = phis = 0
+    for block in function.blocks.values():
+        phis += len(block.phis)
+        instructions += len(block.body)
+        for instr in block.body:
+            # The opcode test first spares the property call on the
+            # instructions that cannot be moves.
+            if instr.opcode == "copy" and instr.is_copy:
+                moves += 1
+    return {"instructions": instructions + phis, "moves": moves,
+            "phis": phis}
 
 
 #: A simple latency model in the spirit of a single-issue DSP: moves and

@@ -40,7 +40,7 @@ from .ir.validate import validate_function
 from .machine.constraints import pinning_abi, pinning_sp
 from .machine.st120 import ST120
 from .machine.target import Target
-from .metrics import (count_instructions, count_moves, count_phis,
+from .metrics import (count_instructions, count_moves, ir_measures,
                       weighted_moves)
 from .observability import NULL_TRACER, STATS_SCHEMA, jsonable
 from .observability import resolve as resolve_tracer
@@ -272,10 +272,7 @@ def run_experiment(module: Module, name: str,
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
     """Per-function IR measures (never taken on the null path)."""
-    return {f.name: {"instructions": count_instructions(f),
-                     "moves": count_moves(f),
-                     "phis": count_phis(f)}
-            for f in module.iter_functions()}
+    return {f.name: ir_measures(f) for f in module.iter_functions()}
 
 
 _EMPTY_MEASURES = {"instructions": 0, "moves": 0, "phis": 0}

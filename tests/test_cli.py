@@ -101,6 +101,14 @@ class TestCompile:
         with pytest.raises(SystemExit):
             main(["compile", str(bad)])
 
+    def test_duplicate_function_is_a_syntax_error(self, tmp_path):
+        bad = tmp_path / "dup.lai"
+        bad.write_text("func f\n    ret\nendfunc\nfunc f\n    ret\nendfunc\n")
+        with pytest.raises(SystemExit) as info:
+            main(["compile", str(bad)])
+        assert str(info.value) == (f"{bad}: line 4, col 6: "
+                                   "duplicate function 'f'")
+
 
 class TestExperiments:
     def test_experiment_table(self, lai_file, capsys):

@@ -1,8 +1,17 @@
 """Lexer/parser/printer tests, including full round-trips."""
 
+import hashlib
+import os
+
 import pytest
 
+from repro.benchgen import SUITE_NAMES, load_suite
+from repro.benchgen.figures import ALL_FIGURES, fig2_illegal_source
 from repro.benchgen.kernels import KERNELS
+from repro.benchgen.synthetic import (FUZZ_PROFILES,
+                                      generate_module_source,
+                                      profile_config)
+from repro.cache.key import function_fingerprint
 from repro.ir import format_function, format_module
 from repro.ir.types import Imm, PhysReg, Var
 from repro.lai import LaiSyntaxError, parse_function, parse_module, tokenize
@@ -198,3 +207,112 @@ endfunc
         text = format_function(f)
         assert format_function(parse_function(text)) == text
         assert "^R0" in text and "^Q" in text
+
+
+#: ``(case, source, (line, column, token))``: one row per error class.
+#: Every malformed input raises :class:`LaiSyntaxError` anchored at the
+#: offending token (the column is ``None`` only for the synthetic EOF).
+DIAGNOSTICS = [
+    ("bad character",
+     "func f\nentry:\n    input a\n    add x, a @ a\n    ret x\nendfunc\n",
+     (4, 14, "@")),
+    ("bad character after CRLF line ends",
+     "func f\r\nentry:\r\n    input a\r\n    add x, a @ a\r\n"
+     "    ret x\r\nendfunc\r\n",
+     (4, 14, "@")),
+    ("unknown opcode",
+     "func f\nentry:\n    input a\n    frob x, a\n    ret x\nendfunc\n",
+     (4, 5, "frob")),
+    ("unknown register",
+     "func f\nentry:\n    input a\n    copy x, $R99\n    ret x\nendfunc\n",
+     (4, 13, "R99")),
+    ("bad pin target",
+     "func f\nentry:\n    input a\n    copy x^5, a\n    ret x\nendfunc\n",
+     (4, 12, "5")),
+    ("missing endfunc",
+     "func f\nentry:\n    input a\n    ret a\n",
+     (4, None, "EOF")),
+    ("expected token",
+     "func f\nentry:\n    input a\n    cbr a, l r\nl:\n    ret a\n"
+     "r:\n    ret a\nendfunc\n",
+     (4, 14, "r")),
+    ("bad integer literal",
+     "func f\nentry:\n    make x, 01\n    ret x\nendfunc\n",
+     (3, 13, "01")),
+    ("pinned immediate",
+     "func f\nentry:\n    copy x, 5^R0\n    ret x\nendfunc\n",
+     (3, 14, "^")),
+    ("duplicate block label",
+     "func f\nentry:\n    input a\n    br b\nb:\n    br b\nb:\n"
+     "    ret a\nendfunc\n",
+     (7, 1, "b")),
+    ("phi without assignment syntax",
+     "func f\nentry:\n    input a\n    phi x, a, a\n    ret x\nendfunc\n",
+     (4, 5, "phi")),
+    ("duplicate function",
+     "func f\n    ret\nendfunc\nfunc f\n    ret\nendfunc\n",
+     (4, 6, "f")),
+]
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("source,where", [row[1:] for row in DIAGNOSTICS],
+                             ids=[row[0] for row in DIAGNOSTICS])
+    def test_error_location(self, source, where):
+        with pytest.raises(LaiSyntaxError) as info:
+            parse_module(source)
+        error = info.value
+        assert (error.line, error.column, error.token) == where
+        line, column, _ = where
+        prefix = f"line {line}" if column is None \
+            else f"line {line}, col {column}"
+        assert str(error).startswith(prefix + ": ")
+
+
+def _golden_modules():
+    """``(label, module)`` for every input the golden digest covers."""
+    for suite in SUITE_NAMES:
+        yield suite, load_suite(suite).module
+    for name, source, _runs in KERNELS:
+        yield f"kernel:{name}", parse_module(source, name=name)
+    for name, factory in ALL_FIGURES.items():
+        yield f"figure:{name}", factory()[0]
+    yield "figure:fig2", parse_module(fig2_illegal_source())
+    examples = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples")
+    for filename in sorted(os.listdir(examples)):
+        if filename.endswith(".lai"):
+            with open(os.path.join(examples, filename)) as handle:
+                text = handle.read()
+            yield f"example:{filename}", parse_module(text)
+            # ``\r\n`` and ``\f`` end lines just like ``\n`` does.
+            yield (f"example:{filename}:crlf",
+                   parse_module(text.replace("\n", "\r\n")))
+            yield (f"example:{filename}:ff",
+                   parse_module(text.replace("\n", "\f")))
+    for profile in FUZZ_PROFILES:
+        config = profile_config(profile)
+        for seed in range(3):
+            source = generate_module_source(seed, 1 + seed, config,
+                                            f"gen_{seed}")
+            yield f"gen:{profile}:{seed}", parse_module(source)
+
+
+#: sha256 over the cache fingerprint (printed text, register classes,
+#: variable-vs-register pins, fresh-name counters) of every function of
+#: :func:`_golden_modules`, as the reference parser produced them.
+GOLDEN_IR_DIGEST = ("2f86133756320250d9dd43985f62b166"
+                    "7951e95a04d8ebc218a77542e63e97e1")
+
+
+class TestGoldenIR:
+    def test_parsed_ir_matches_golden_digest(self):
+        digest = hashlib.sha256()
+        functions = 0
+        for label, module in _golden_modules():
+            for function in module.iter_functions():
+                digest.update(f"{label}\0{function_fingerprint(function)}"
+                              f"\0".encode())
+                functions += 1
+        assert functions > 100
+        assert digest.hexdigest() == GOLDEN_IR_DIGEST

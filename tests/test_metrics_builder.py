@@ -3,11 +3,13 @@
 import pytest
 
 from repro.analysis import DefUse, DominatorTree
+from repro.benchgen.kernels import KERNELS
 from repro.ir import FunctionBuilder, Imm, PhysReg, Var, validate_function
 from repro.interp import run_function
-from repro.lai import parse_function
+from repro.lai import parse_function, parse_module
 from repro.metrics import (count_instructions, count_moves, count_phis,
-                           weighted_moves)
+                           ir_measures, weighted_moves)
+from repro.pipeline import run_experiment
 
 from helpers import function_of
 
@@ -71,9 +73,20 @@ endfunc
         assert count_phis(f) == 1
         assert count_instructions(f) == 6
 
-    def test_module_aggregation(self):
-        from repro.lai import parse_module
+    @pytest.mark.parametrize("name,src,_runs", KERNELS,
+                             ids=[k[0] for k in KERNELS])
+    def test_ir_measures_is_the_three_counts(self, name, src, _runs):
+        """The one-walk measures equal the three separate counts on
+        every kernel, before and after the pipeline."""
+        module = parse_module(src, name=name)
+        out = run_experiment(module, "Lphi,ABI+C").module
+        for function in [*module.iter_functions(), *out.iter_functions()]:
+            assert ir_measures(function) == {
+                "instructions": count_instructions(function),
+                "moves": count_moves(function),
+                "phis": count_phis(function)}
 
+    def test_module_aggregation(self):
         m = parse_module("""
 func a
 entry:

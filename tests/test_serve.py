@@ -30,6 +30,7 @@ from repro.observability.statdiff import stats_digest
 from repro.parallel import fork_available
 from repro.pipeline import run_experiment, table5_variants
 from repro.serve import CompileServer, ServeClient, ThreadedServer
+from repro.serve.batcher import ServeJob, run_batch
 from repro.serve.protocol import (ProtocolError, decode_request,
                                   parse_compile, request_fingerprint)
 
@@ -101,6 +102,35 @@ class TestProtocol:
                                            None)
         opts = table5_variants()["opt"]
         assert base != request_fingerprint(source, ("ssa",), opts)
+
+
+#: Malformed sources the parser rejects past the lexer, with where.
+MALFORMED = [
+    ("func f\nentry:\n    make x, 01\n    ret x\nendfunc\n",
+     "line 3, col 13"),
+    ("func f\nentry:\n    copy x, 5^R0\n    ret x\nendfunc\n",
+     "line 3, col 14"),
+    ("func f\nb:\n    br b\nb:\n    ret\nendfunc\n", "line 4, col 1"),
+    ("func f\n    ret\nendfunc\nfunc f\n    ret\nendfunc\n",
+     "line 4, col 6"),
+]
+
+
+@pytest.mark.parametrize("source,where", MALFORMED,
+                         ids=["bad-int", "pinned-imm", "dup-label",
+                              "dup-function"])
+def test_malformed_request_fails_alone_in_its_batch(source, where):
+    """One malformed request answers a parse error; the valid request
+    batched with it still compiles."""
+    good = ServeJob(0, parse_compile({"source": suite_source("example1-8"),
+                                      "name": "good"}))
+    bad = ServeJob(1, parse_compile({"source": source, "name": "bad"}))
+    run_batch([good, bad], None)
+    text, _digest = serial_reference("example1-8")
+    assert good.response["ok"]
+    assert good.response["module"] == text
+    assert bad.response["ok"] is False
+    assert bad.response["error"].startswith(f"parse error: {where}: ")
 
 
 # ----------------------------------------------------------------------
