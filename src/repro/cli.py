@@ -26,11 +26,12 @@ Usage (also via ``python -m repro``):
 The compiler prints the transformed module to stdout (or ``-o FILE``)
 plus a statistics footer on stderr, so output can be piped or diffed.
 ``--trace`` writes a Chrome ``trace_event`` file for ``chrome://tracing``
-and ``--stats-json`` a ``repro.stats/v1`` document; ``--metrics``
-enables the counter/gauge/histogram registry (embedded in the stats
-document) and ``--ledger FILE`` appends one JSONL record per run to
-the persistent run ledger behind ``repro perf`` (see
-docs/observability.md).
+and ``--stats-json`` a ``repro.stats/v1`` document, whose ``metrics``
+block (counters, gauges, latency histograms) is a view of the trace;
+``--ledger FILE`` appends one JSONL record per run to the persistent
+run ledger behind ``repro perf`` (see docs/observability.md).  Input
+that does not parse, or parses into ill-formed IR, ends in one
+``FILE: error`` line and a non-zero exit.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from typing import Optional, Sequence
 
 from .interp import InterpreterError, run_module
 from .ir.printer import format_module
+from .ir.validate import ValidationError, validate_function
 from .lai import LaiSyntaxError, parse_module
-from .observability import (COLLECTION_SCHEMA, MetricsRegistry, Tracer,
-                            pass_profile, phase_table, summary,
-                            write_chrome_trace)
+from .observability import (COLLECTION_SCHEMA, Tracer, pass_profile,
+                            phase_table, summary, write_chrome_trace)
 from .observability.ledger import make_record, resolve_ledger
-from .observability.metrics import METRICS_ENV
 from .pipeline import (EXPERIMENTS, PhaseOptions, run_experiment,
                        run_experiments, run_table, table5_variants)
 
@@ -88,12 +88,6 @@ def _write_json(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def _wants_metrics(args) -> bool:
-    """``--metrics`` or a non-empty ``$REPRO_METRICS``."""
-    return bool(getattr(args, "metrics", False)
-                or os.environ.get(METRICS_ENV))
-
-
 def _breakdown_wall(result) -> Optional[float]:
     """Total per-phase wall time (a traced run's compile time), or
     ``None`` for untraced runs."""
@@ -108,13 +102,20 @@ def _append_ledger(ledger, result, *, suite, options, jobs, wall_s,
     """Build and append one ledger record (parent process only -- the
     single-writer contract of :mod:`repro.observability.ledger`)."""
     record = make_record(result, suite=suite, options=options, jobs=jobs,
-                         wall_s=wall_s, metrics=result.metrics or None)
+                         wall_s=wall_s)
     if extra:
         record.update(extra)
     ledger.append(record)
 
 
 def cmd_compile(args) -> int:
+    try:
+        return _compile(args)
+    except ValidationError as error:
+        raise SystemExit(f"{args.file}: {error}")
+
+
+def _compile(args) -> int:
     module = _load(args.file)
     verify = None
     if args.verify:
@@ -128,6 +129,7 @@ def cmd_compile(args) -> int:
 
         shown = module.copy()
         for function in shown.iter_functions():
+            validate_function(function)  # never print ill-formed IR
             ensure_ssa(function)
             optimize_ssa(function)
             pinning_sp(function)
@@ -139,12 +141,11 @@ def cmd_compile(args) -> int:
         print(format_module(shown), file=sys.stderr)
 
     tracer = _tracer_for(args)
-    metrics = MetricsRegistry() if _wants_metrics(args) else None
     start = time.perf_counter()
     result = run_experiment(module, args.experiment,
                             options=_options(args), verify=verify,
                             tracer=tracer, jobs=args.jobs,
-                            cache=args.cache_dir, metrics=metrics)
+                            cache=args.cache_dir)
     wall_s = round(time.perf_counter() - start, 6)
     if args.trace:
         write_chrome_trace(tracer, args.trace)
@@ -192,9 +193,8 @@ def cmd_run(args) -> int:
 
 def cmd_experiments(args) -> int:
     module = _load(args.file)
-    results = run_experiments(
-        module, tracer=Tracer, jobs=args.jobs, cache=args.cache_dir,
-        metrics=MetricsRegistry if _wants_metrics(args) else None)
+    results = run_experiments(module, tracer=Tracer, jobs=args.jobs,
+                              cache=args.cache_dir)
     ledger = resolve_ledger(args.ledger)
     if ledger is not None:
         for result in results:
@@ -236,8 +236,7 @@ def cmd_tables(args) -> int:
             results = run_table(
                 suite.module, table,
                 tracer=Tracer if traced else None,
-                jobs=args.jobs, cache=args.cache_dir,
-                metrics=MetricsRegistry if _wants_metrics(args) else None)
+                jobs=args.jobs, cache=args.cache_dir)
             cells = []
             for result in results:
                 value = result.weighted if args.weighted else result.moves
@@ -409,22 +408,16 @@ def _perf_record(args, ledger) -> int:
         for name in experiments:
             samples = []
             result = None
-            metrics = None
             for round_index in range(max(1, args.rounds)):
-                if args.metrics:
-                    metrics = MetricsRegistry()
                 start = time.perf_counter()
                 result = run_experiment(suite.module, name,
                                         jobs=args.jobs,
-                                        cache=args.cache_dir,
-                                        metrics=metrics)
+                                        cache=args.cache_dir)
                 samples.append(time.perf_counter() - start)
             record = make_record(result, suite=suite.name,
                                  jobs=args.jobs,
                                  wall_s=round(min(samples), 6),
-                                 samples=samples,
-                                 metrics=result.metrics or None,
-                                 rev=rev)
+                                 samples=samples, rev=rev)
             ledger.append(record)
             print(f"recorded {suite.name}/{name}: "
                   f"min {min(samples):.4f}s over {len(samples)} "
@@ -607,11 +600,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                              "unset = no caching; output is identical "
                              "cache-hot and cache-cold; "
                              "$REPRO_CACHE_LIMIT caps the size in bytes)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="record counters/gauges/latency histograms "
-                             "into the stats document's 'metrics' block "
-                             "(also enabled by a non-empty "
-                             "$REPRO_METRICS; zero overhead when off)")
     _add_interp(parser)
     _add_ledger(parser)
 

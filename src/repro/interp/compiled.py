@@ -35,8 +35,11 @@ keyed on ``(fn.epoch, fn.cfg_epoch)`` in a module-level weak-key map,
 so repeated verify runs of unchanged IR (fuzz sweeps, serve warm
 requests, corpus gates) skip recompilation entirely; any IR mutation
 bumps an epoch and invalidates the entry.  Cache traffic and compile
-time are observable through the ``interp.code_cache.hits`` /
-``interp.code_cache.misses`` / ``interp.compile_ns`` tracer counters.
+time depend on what ran before in the process, so they are environment,
+not decisions: they go to the tracer's environment store
+(``interp.code_cache.hits`` / ``interp.code_cache.misses`` /
+``interp.compile_ns``), which feeds the stats document's ``interp``
+block, never to its counters.
 
 Tier selection (``REPRO_INTERP=compiled|reference|both``) lives in
 :mod:`repro.interp`; this module only knows how to compile and run.
@@ -597,7 +600,7 @@ class CompiledInterpreter:
     :class:`~repro.interp.interpreter.Interpreter` running compiled
     code.  Same constructor, same :meth:`run` contract, same tracer
     counters (``interp.runs`` / ``interp.steps`` /
-    ``interp.block_entries``) plus the code-cache counters documented
+    ``interp.block_entries``), plus the code-cache traffic documented
     in the module docstring.
     """
 
@@ -652,14 +655,14 @@ class CompiledInterpreter:
         if entry is not None and entry[0] == function.epoch \
                 and entry[1] == function.cfg_epoch:
             if self.tracer.enabled:
-                self.tracer.count("interp.code_cache.hits")
+                self.tracer.note("interp.code_cache.hits")
             return entry[2]
         if self.tracer.enabled:
             start = time.perf_counter_ns()
             code = compile_function(function)
-            self.tracer.count("interp.compile_ns",
-                              time.perf_counter_ns() - start)
-            self.tracer.count("interp.code_cache.misses")
+            self.tracer.note("interp.compile_ns",
+                             time.perf_counter_ns() - start)
+            self.tracer.note("interp.code_cache.misses")
         else:
             code = compile_function(function)
         _CODE_CACHE[function] = (function.epoch, function.cfg_epoch, code)

@@ -102,7 +102,10 @@ def _validate_instruction(function: Function, where: str,
     if instr.opcode == "pcopy" and len(instr.defs) != len(instr.uses):
         _fail(function, where, f"pcopy def/use length mismatch: {instr}")
     if instr.opcode == "psi" and len(instr.uses) % 2 != 0:
-        _fail(function, where, f"psi needs (guard, value) pairs: {instr}")
+        # Printing the instruction would pair up its uses; list them raw.
+        operands = ", ".join(str(op) for op in instr.defs + instr.uses)
+        _fail(function, where,
+              f"psi needs (guard, value) pairs: psi {operands}")
     if instr.opcode == "call" and "callee" not in instr.attrs:
         _fail(function, where, f"call without callee: {instr}")
 

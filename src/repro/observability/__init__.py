@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`Tracer` / :data:`NULL_TRACER` -- the recording tracer and the
-  zero-overhead default (see :mod:`.tracer`);
+  zero-overhead default (see :mod:`.tracer`), the one instrument the
+  compiler threads: spans, events, decision ``counters`` and a separate
+  ``environment`` store;
 * :func:`resolve` -- normalize an optional ``tracer=`` argument;
 * exporters -- :func:`chrome_trace_events` / :func:`write_chrome_trace`
   (Chrome ``trace_event`` format), :func:`summary`,
@@ -11,9 +13,10 @@ Public surface:
   :func:`pass_self_times` (human-readable), :func:`jsonable`;
 * schema -- :func:`validate_stats` and the ``repro.stats/v1`` document
   contract (see :mod:`.schema` and ``docs/observability.md``);
-* metrics -- :class:`MetricsRegistry` / :data:`NULL_METRICS`, the
-  counter/gauge/latency-histogram registry with deterministic
-  snapshots, cross-worker merge and Prometheus text exposition (see
+* metrics -- :func:`metrics_view`, a traced run's ``metrics`` block
+  computed from its trace, and :class:`MetricsRegistry`, the
+  counter/gauge/latency-histogram aggregate with deterministic
+  snapshots, merge and Prometheus text exposition (see
   :mod:`.metrics`);
 * ledger -- :class:`RunLedger` / :func:`resolve_ledger`, the
   append-only JSONL run ledger behind ``repro perf`` (see
@@ -23,9 +26,7 @@ Public surface:
 
 Every instrumented entry point (``run_phases``, ``coalesce_phis``,
 ``sreedhar_to_cssa``, ``aggressive_coalesce``, the interpreter) takes an
-optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`;
-``run_phases``/``run_experiment`` additionally take an optional
-``metrics`` keyword defaulting to ``None`` == :data:`NULL_METRICS`.
+optional ``tracer`` keyword defaulting to ``None`` == :data:`NULL_TRACER`.
 """
 
 from .exporters import (chrome_trace_events, chrome_trace_json, jsonable,
@@ -33,9 +34,8 @@ from .exporters import (chrome_trace_events, chrome_trace_json, jsonable,
                         summary, write_chrome_trace)
 from .ledger import (LEDGER_ENV, LEDGER_SCHEMA, RunLedger, make_record,
                      resolve_ledger)
-from .metrics import (BUCKET_BOUNDS, NULL_METRICS, MetricsRegistry,
-                      NullMetrics, merge_snapshots, parse_prometheus_text,
-                      prometheus_text, resolve_metrics)
+from .metrics import (BUCKET_BOUNDS, MetricsRegistry, metrics_view,
+                      parse_prometheus_text, prometheus_text)
 from .schema import (COLLECTION_SCHEMA, DELTA_KEYS, SNAPSHOT_KEYS,
                      STATS_SCHEMA, SchemaError, validate_stats,
                      validate_stats_file)
@@ -46,8 +46,7 @@ from .tracer import (NULL_TRACER, EventRecord, NullTracer, SpanRecord,
 __all__ = [
     "NULL_TRACER", "NullTracer", "Tracer", "SpanRecord", "EventRecord",
     "resolve",
-    "NULL_METRICS", "NullMetrics", "MetricsRegistry", "BUCKET_BOUNDS",
-    "resolve_metrics", "merge_snapshots", "prometheus_text",
+    "MetricsRegistry", "BUCKET_BOUNDS", "metrics_view", "prometheus_text",
     "parse_prometheus_text",
     "RunLedger", "resolve_ledger", "make_record", "LEDGER_SCHEMA",
     "LEDGER_ENV",

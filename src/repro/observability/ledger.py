@@ -18,9 +18,9 @@ one line of JSON (schema :data:`LEDGER_SCHEMA`) describing one
   runs of the same revision must carry the same digest and ``repro
   perf diff`` can flag any divergence as a correctness problem rather
   than noise;
-* **timing** -- min/all wall-clock samples, per-phase self times when
-  a tracer ran, and optionally the run's ``metrics`` snapshot
-  (:meth:`repro.observability.metrics.MetricsRegistry.snapshot`).
+* **timing** -- min/all wall-clock samples, and when a tracer ran,
+  per-phase self times and the run's ``metrics`` block
+  (:func:`repro.observability.metrics.metrics_view`).
 
 Concurrency contract: **appends are a single ``write(2)`` on an
 ``O_APPEND`` descriptor, performed only by the parent process** -- the
@@ -75,7 +75,6 @@ def make_record(result, *, suite: Optional[str] = None,
                 jobs: Optional[int] = None,
                 wall_s: Optional[float] = None,
                 samples: Optional[Iterable[float]] = None,
-                metrics: Optional[dict] = None,
                 rev: Optional[str] = None) -> dict:
     """Build one ledger record from an
     :class:`~repro.pipeline.ExperimentResult`.
@@ -119,8 +118,8 @@ def make_record(result, *, suite: Optional[str] = None,
     }
     if result.cache:
         record["cache"] = dict(result.cache)
-    if metrics:
-        record["metrics"] = metrics
+    if "metrics" in document:
+        record["metrics"] = document["metrics"]
     return record
 
 

@@ -1,46 +1,42 @@
 """The metrics registry: counters, gauges and latency histograms.
 
-The tracer (:mod:`.tracer`) answers "what happened inside *this* run";
-the registry answers the service-shaped question "how is the compiler
-behaving *over* runs" -- the per-function compile-time distribution,
-per-phase self time, cache probe/store latency and interference-oracle
-query traffic that a live metrics endpoint or the run ledger
-(:mod:`.ledger`) wants to expose.  Three instrument kinds:
+The tracer (:mod:`.tracer`) is the one instrument the compiler
+threads; it answers "what happened inside *this* run".  The registry
+is an aggregate and exposition type for the service-shaped question
+"how is the compiler behaving *over* runs" -- the per-function
+compile-time distribution, per-phase self time, cache probe/store
+latency and interference-oracle query traffic that a live metrics
+endpoint (``repro serve``) or the run ledger (:mod:`.ledger`) exposes.
+A traced run's ``metrics`` block is :func:`metrics_view`: a registry
+filled from the run's trace and environment blocks after the fact, so
+the pipeline never records a second time.  Three instrument kinds:
 
 * **counters** -- named monotone totals (``registry.counter(
   "cache.hits").inc()``);
 * **gauges** -- last-written values (``registry.gauge(
-  "cache.bytes").set(n)``); merged across workers by taking the max;
+  "cache.bytes").set(n)``); merged by taking the max;
 * **histograms** -- distributions over *fixed* log-spaced bucket
   ladders (:data:`BUCKET_BOUNDS`, powers of two from 1µs, for
   latencies; :data:`COUNT_BOUNDS`, powers of four, for sizes such as
   oracle query batches).  The ladder is a property of the metric, not
-  of the process, so the same histogram from different ``--jobs``
-  workers merges by plain element-wise addition of its bucket counts.
+  of the process, so the same histogram from different ledger records
+  merges by plain element-wise addition of its bucket counts.
 
 Determinism contract: :meth:`MetricsRegistry.snapshot` emits sorted
 keys and plain JSON types, :meth:`MetricsRegistry.merge` is commutative
 and associative (sums and maxes only), so merged snapshots are
-independent of worker arrival order.  The *values* of latency
-histograms are wall-clock measurements and therefore non-deterministic
-across runs; the observation **counts** are not (one per function, one
-per phase, one per cache probe) -- ``tests/test_metrics_registry.py``
-pins both halves of that contract.
-
-Like the tracer, the default everywhere is the zero-overhead
-:data:`NULL_METRICS` singleton: every accessor returns a shared no-op
-instrument, no dictionaries are touched and no records allocated, so
-the uninstrumented pipeline hot path stays allocation-free (guarded
-structurally in ``tests/test_observability.py`` and by timing in
-``benchmarks/bench_tracer_overhead.py``).  Hot loops must guard
-argument construction behind ``if metrics.enabled``.
+independent of merge order.  The *values* of latency histograms are
+wall-clock measurements and therefore non-deterministic across runs;
+the observation **counts** are not (one per function, one per phase
+and function) -- ``tests/test_metrics_registry.py`` pins both halves
+of that contract.
 
 Prometheus text exposition (:func:`prometheus_text`) renders a
 snapshot in the classic ``# TYPE`` / sample-line format --
 ``repro_phase_seconds_bucket{phase="ssa",le="0.000512"} 3`` -- and
 :func:`parse_prometheus_text` parses it back; rendering a parsed
 exposition reproduces the text byte-for-byte (the round-trip CI
-test), which is what makes the format safe to serve from a future
+test), which is what makes the format safe to serve from the
 ``repro serve`` endpoint.
 """
 
@@ -60,8 +56,6 @@ COUNT_BOUNDS: tuple[float, ...] = tuple(
 #: Percentiles reported by :meth:`Histogram.percentiles` and embedded
 #: in stats-document ``metrics`` blocks.
 PERCENTILES = (50, 90, 99)
-
-METRICS_ENV = "REPRO_METRICS"
 
 
 def _bucket_index(bounds: tuple[float, ...], value: float) -> int:
@@ -109,59 +103,6 @@ def split_key(key: str) -> tuple[str, dict]:
             label, _, value = pair.partition("=")
             labels[label] = value
     return name, labels
-
-
-# ----------------------------------------------------------------------
-# Null instruments -- the zero-overhead default
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """Shared no-op counter/gauge/histogram."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """The zero-overhead default registry; every accessor hands back
-    one shared no-op instrument.  Prefer :data:`NULL_METRICS`."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str, **labels):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds=None, **labels):
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def merge(self, snapshot: dict) -> None:
-        pass
-
-
-NULL_METRICS = NullMetrics()
-
-
-def resolve_metrics(metrics) -> NullMetrics:
-    """Normalize an optional ``metrics=`` argument: ``None`` -> the
-    null singleton, anything else passes through unchanged."""
-    return NULL_METRICS if metrics is None else metrics
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +176,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The recording registry.  See the module docstring for the model."""
+    """The registry.  See the module docstring for the model."""
 
-    enabled = True
     __slots__ = ("counters", "gauges", "histograms")
 
     def __init__(self) -> None:
@@ -273,8 +213,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The registry as a deterministic plain-JSON document (sorted
         keys, lists and numbers only) -- the ``metrics`` block of a
-        ``repro.stats/v1.5`` document and the mergeable wire format
-        workers send back."""
+        ``repro.stats/v1.5`` document and of a ledger record."""
         histograms = {}
         for key in sorted(self.histograms):
             h = self.histograms[key]
@@ -297,11 +236,8 @@ class MetricsRegistry:
         """Fold one :meth:`snapshot` document into this registry:
         counters and histogram buckets add, gauges take the max.
         Integer addition and max are commutative/associative, so every
-        integer field of merged worker snapshots is independent of
-        arrival order -- the parallel driver's determinism contract
-        (float ``sum`` fields are order-free only up to addition
-        reassociation; the driver merges in shard-index order so even
-        those are reproducible for a fixed job count)."""
+        integer field of merged snapshots is independent of merge order
+        (float ``sum`` fields only up to addition reassociation)."""
         if not snapshot:
             return
         for key, value in snapshot.get("counters", {}).items():
@@ -321,15 +257,53 @@ class MetricsRegistry:
         return prometheus_text(self.snapshot())
 
 
-def merge_snapshots(snapshots) -> dict:
-    """Merge many :meth:`MetricsRegistry.snapshot` documents into one
-    (the parent-side half of the cross-worker merge); ``None`` and
-    empty entries are skipped."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        if snapshot:
-            merged.merge(snapshot)
-    return merged.snapshot()
+def metrics_view(result) -> dict:
+    """The ``metrics`` block of a traced
+    :class:`~repro.pipeline.ExperimentResult`: a registry filled from
+    the result's trace and environment blocks, as a snapshot.
+
+    Counters come from the ``analysis_cache`` and ``cache`` blocks;
+    ``phase.seconds{phase}`` gets one observation per (phase, function)
+    and ``compile.function_seconds`` one per function, from the
+    per-function nanoseconds each ``phase:*`` span carries; the cache
+    latency histograms get one observation per ``cache:probe`` /
+    ``cache:store`` span.  ``--jobs`` runs graft their workers' spans
+    into the result's tracer, so the view needs no merge; a tracer
+    shared by several runs yields the view of all of them.
+    """
+    registry = MetricsRegistry()
+    registry.counter("pipeline.runs").inc()
+    registry.counter("pipeline.functions").inc(len(result.records))
+    analysis = result.analysis_cache
+    for counter, key in (("analysis.hits", "hits"),
+                         ("analysis.misses", "misses"),
+                         ("oracle.hits", "oracle_hits"),
+                         ("oracle.misses", "oracle_misses")):
+        registry.counter(counter).inc(analysis.get(key, 0))
+    # The run's interference-verdict volume: a size, not a latency --
+    # hence the count ladder.
+    registry.histogram("oracle.query_batch", bounds=COUNT_BOUNDS).observe(
+        float(analysis.get("oracle_hits", 0)
+              + analysis.get("oracle_misses", 0)))
+    if result.cache:
+        registry.counter("cache.hits").inc(result.cache.get("hits", 0))
+        registry.counter("cache.misses").inc(result.cache.get("misses", 0))
+        registry.gauge("cache.store_bytes").set(result.cache.get("bytes", 0))
+    function_ns: dict[str, int] = {}
+    for span in result.tracer.spans:
+        kind, _, name = span.name.partition(":")
+        if kind == "phase":
+            timer = registry.histogram("phase.seconds", phase=name)
+            for fn_name, ns in span.attrs.get("function_ns", {}).items():
+                timer.observe(ns / 1e9)
+                function_ns[fn_name] = function_ns.get(fn_name, 0) + ns
+        elif span.name in ("cache:probe", "cache:store"):
+            registry.histogram(f"cache.{name}_seconds").observe(
+                span.duration_ns / 1e9)
+    timer = registry.histogram("compile.function_seconds")
+    for fn_name in sorted(function_ns):
+        timer.observe(function_ns[fn_name] / 1e9)
+    return registry.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -22,13 +22,14 @@ Two document shapes are emitted by the CLI and the benchmark harness
     parallel runs), and the optional ``metrics`` block (v1.5): a
     :meth:`repro.observability.metrics.MetricsRegistry.snapshot` --
     counters, gauges and fixed-log-bucket latency histograms (bucket
-    bounds + counts + sum/count + percentiles), merged element-wise
-    across workers in parallel runs, and the optional ``interp`` block
+    bounds + counts + sum/count + percentiles) computed from a traced
+    run's trace by :func:`repro.observability.metrics.metrics_view`,
+    and the optional ``interp`` block
     (v1.6) describing the interpreter tier behind the run's verify
     passes: the resolved ``tier`` (``compiled`` / ``reference`` /
     ``both``; see :mod:`repro.interp`) and the compiled tier's
-    ``code_cache`` traffic (hits/misses/compile_ns, mirroring the
-    ``interp.code_cache.*`` / ``interp.compile_ns`` counters).
+    ``code_cache`` traffic (hits/misses/compile_ns, from the tracer's
+    ``interp.code_cache.*`` / ``interp.compile_ns`` environment totals).
     Produced by :meth:`repro.pipeline.ExperimentResult.to_stats`.
     ``repro.stats/v1`` through ``v1.5`` documents (no ``parallel`` /
     ``analysis_cache`` / oracle counters / ``cache`` / ``metrics`` /

@@ -8,15 +8,18 @@ exactly the documented non-deterministic fields so two documents can
 be compared for the promises that *do* hold:
 
 * the ``parallel`` block (worker pool shape and wall times);
-* the ``cache`` / ``analysis_cache`` / ``interp`` blocks, the
-  ``events`` count and the ``analysis.*`` / ``interp.code_cache.*`` /
-  ``interp.compile_ns`` counters -- instrumentation *volume* and cache
-  temperature (the interpreter's code cache is process-global, so its
-  traffic depends on what ran before), which vary while decision
-  counters must not;
-* the ``metrics`` block (v1.5) -- its histograms are wall-clock latency
-  measurements and several of its counters mirror cache traffic;
+* the ``cache`` / ``analysis_cache`` / ``interp`` blocks and the
+  ``events`` count -- instrumentation *volume* and cache temperature
+  (the interpreter's code cache is process-global, so its traffic
+  depends on what ran before), which vary while decisions must not;
+* the ``metrics`` block (v1.5) -- a view of the trace whose histograms
+  are wall-clock latency measurements and whose counters mirror cache
+  traffic;
 * per-phase ``seq`` / ``start_ns`` / ``duration_ns``.
+
+``counters`` stays whole: the tracer keeps environment data in its own
+store (:attr:`repro.observability.Tracer.environment`), so every
+counter is a decision counter.
 
 Three consumers share these rules: ``benchmarks/diff_stats.py`` (the
 CI serial-vs-parallel and cold-vs-warm gates), the run ledger
@@ -39,14 +42,6 @@ TIMING_KEYS = ("seq", "start_ns", "duration_ns")
 ENVIRONMENT_BLOCKS = ("parallel", "cache", "analysis_cache", "events",
                       "metrics", "interp")
 
-#: Counter-name prefixes describing effort or cache temperature rather
-#: than decisions: analysis traffic, interpreter code-cache traffic
-#: and compile time.  ``interp.runs`` / ``interp.steps`` /
-#: ``interp.block_entries`` are *not* here -- they are deterministic
-#: per run at every tier, job count and cache temperature.
-ENVIRONMENT_COUNTER_PREFIXES = ("analysis.", "interp.code_cache.",
-                                "interp.compile_ns")
-
 
 def strip_timing(document):
     """Return *document* minus the documented non-deterministic fields
@@ -58,10 +53,6 @@ def strip_timing(document):
     document = dict(document)
     for block in ENVIRONMENT_BLOCKS:
         document.pop(block, None)
-    if "counters" in document:
-        document["counters"] = {
-            name: value for name, value in document["counters"].items()
-            if not name.startswith(ENVIRONMENT_COUNTER_PREFIXES)}
     phases = []
     for entry in document.get("phases", ()):
         entry = {k: v for k, v in entry.items() if k not in TIMING_KEYS}

@@ -16,9 +16,14 @@ implementations exist:
     wall-clock start, their nesting depth and parent;
   - **events**: point-in-time decision records
     (``tracer.event("coalesce.merge", block="head")``);
-  - **counters**: named monotonically increasing integers
-    (``tracer.count("coalesce.pins_applied")``, or a pre-bound
-    :meth:`Tracer.counter` handle for hot paths).
+  - **counters**: named monotonically increasing integers counting
+    *decisions* (``tracer.count("coalesce.pins_applied")``, or a
+    pre-bound :meth:`Tracer.counter` handle for hot paths) -- a cache
+    hit replays them and the stats digest covers them;
+  - **environment**: integers describing the run's surroundings rather
+    than its decisions (``tracer.note("interp.code_cache.hits")``:
+    process-global cache heat, compile time), kept apart so that
+    ``counters`` needs no filtering.
 
 A single sequence number is shared by spans and events, so the merged
 stream is monotonically ordered and a span's position relative to the
@@ -107,6 +112,9 @@ class NullTracer:
     def counter(self, name: str):
         return _NULL_COUNTER
 
+    def note(self, name: str, n: int = 1) -> None:
+        return None
+
 
 NULL_TRACER = NullTracer()
 
@@ -179,13 +187,14 @@ class Tracer(NullTracer):
     """The recording tracer.  See the module docstring for the model."""
 
     enabled = True
-    __slots__ = ("spans", "events", "counters", "epoch_ns", "epoch_wall",
-                 "_seq", "_stack")
+    __slots__ = ("spans", "events", "counters", "environment", "epoch_ns",
+                 "epoch_wall", "_seq", "_stack")
 
     def __init__(self) -> None:
         self.spans: list[SpanRecord] = []
         self.events: list[EventRecord] = []
         self.counters: dict[str, int] = {}
+        self.environment: dict[str, int] = {}
         self.epoch_ns = time.perf_counter_ns()
         self.epoch_wall = time.time()
         self._seq = 0
@@ -216,6 +225,9 @@ class Tracer(NullTracer):
 
     def counter(self, name: str) -> _BoundCounter:
         return _BoundCounter(self.counters, name)
+
+    def note(self, name: str, n: int = 1) -> None:
+        self.environment[name] = self.environment.get(name, 0) + n
 
     # ------------------------------------------------------------------
     def events_in(self, span: SpanRecord) -> list[EventRecord]:

@@ -10,8 +10,8 @@ hits and ``repro serve`` batches use, which is why output is
 **byte-identical at any job count**.  Whole experiments of a table are
 equally independent and shard the same way.  What this module adds is
 a parallel run's environment: worker traces grafted into the parent
-tracer (one coherent Chrome trace), worker metric snapshots merged, and
-the ``parallel`` block.
+tracer (one coherent Chrome trace, and the source of the ``metrics``
+view) and the ``parallel`` block.
 
 All pool work runs on :class:`WorkerPool` (a one-shot ``--jobs`` run is
 a ``with WorkerPool(n)`` block; ``repro serve`` keeps one for its
@@ -44,7 +44,6 @@ from .machine.target import Target
 from .metrics import count_instructions
 from .observability import NULL_TRACER, Tracer
 from .observability import resolve as resolve_tracer
-from .observability.metrics import MetricsRegistry, resolve_metrics
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +106,8 @@ def pack_shard(module: Module, names: Sequence[str]) -> bytes:
 class ShardJob(NamedTuple):
     """One unit of pool work: run *phases* as experiment *name* on the
     pickled ``(module, verify)`` pair in *blob* (a function shard, or a
-    whole module for experiment-level runs).  ``traced``/``metriced``
-    give the worker its own recorder."""
+    whole module for experiment-level runs).  ``traced`` gives the
+    worker its own tracer."""
 
     blob: bytes
     name: str
@@ -118,7 +117,6 @@ class ShardJob(NamedTuple):
     validate: bool = True
     cache: object = None
     traced: bool = False
-    metriced: bool = False
 
 
 def run_shard(job: ShardJob) -> dict:
@@ -131,12 +129,10 @@ def run_shard(job: ShardJob) -> dict:
     start = time.perf_counter_ns()
     result = _pipeline.run_phases(
         module, job.name, job.phases, job.options, job.target, verify,
-        job.validate, Tracer() if job.traced else None, cache=job.cache,
-        metrics=MetricsRegistry() if job.metriced else None)
+        job.validate, Tracer() if job.traced else None, cache=job.cache)
     return {"records": result.records,
             "analysis_cache": result.analysis_cache,
             "cache": result.cache,
-            "metrics": result.metrics,
             "tracer": result.tracer if job.traced else None,
             "wall_ns": time.perf_counter_ns() - start}
 
@@ -251,6 +247,8 @@ def _graft_tracer(parent: Tracer, worker: Tracer, root_seq: Optional[int],
         parent.events.append(event)
     for key, value in worker.counters.items():
         parent.counters[key] = parent.counters.get(key, 0) + value
+    for key, value in worker.environment.items():
+        parent.note(key, value)
     parent._seq = base + worker._seq
 
 
@@ -269,17 +267,15 @@ def run_phases_parallel(module: Module, name: str, phases,
                         options=None, target: Target = ST120,
                         verify=None, validate: bool = True,
                         tracer=None, jobs: Optional[int] = None,
-                        cache=None, metrics=None):
+                        cache=None):
     """Function-level sharding of :func:`repro.pipeline.run_phases`:
     each shard runs the whole pipeline in a worker (with its own tracer
-    and metrics registry when the caller has one); the parent grafts
-    and merges those, assembles the records, and runs semantic
-    verification against the input and the assembled module exactly as
-    the serial path does."""
+    when the caller has one); the parent grafts the worker traces,
+    assembles the records, and runs semantic verification against the
+    input and the assembled module exactly as the serial path does."""
     from . import pipeline as _pipeline
 
     tracer = resolve_tracer(tracer)
-    metrics = resolve_metrics(metrics)
     phases = tuple(phases)
     workers = min(resolve_jobs(jobs), len(module.functions))
     payloads = None
@@ -289,13 +285,12 @@ def run_phases_parallel(module: Module, name: str, phases,
         pool_start = time.perf_counter_ns()
         payloads = _run_one_shot(len(shards), cache, [
             ShardJob(pack_shard(module, names), name, phases, options,
-                     target, validate, cache, tracer.enabled,
-                     metrics.enabled) for names in shards])
+                     target, validate, cache, tracer.enabled)
+            for names in shards])
         pool_ns = time.perf_counter_ns() - pool_start
     if payloads is None:
         return _pipeline.run_phases(module, name, phases, options, target,
-                                    verify, validate, tracer, cache=cache,
-                                    metrics=metrics)
+                                    verify, validate, tracer, cache=cache)
 
     with tracer.span(f"experiment:{name}", experiment=name) as root:
         references = _pipeline.observe(module, verify, tracer)
@@ -308,14 +303,6 @@ def run_phases_parallel(module: Module, name: str, phases,
             module, {fn_name: record for payload in payloads
                      for fn_name, record in payload["records"].items()},
             name, phases, tracer=tracer, root=root, parts=payloads)
-        if metrics.enabled:
-            for payload in payloads:  # shard-index order (commutative)
-                metrics.merge(payload["metrics"])
-            # Each worker counted its shard as one pipeline invocation;
-            # collapse to the single logical run the caller asked for so
-            # counters stay identical at any job count.
-            metrics.counter("pipeline.runs").inc(1 - len(payloads))
-            result.metrics = metrics.snapshot()
         merge_ns = time.perf_counter_ns() - merge_start
         _pipeline.check_behaviour(name, result.module, references, tracer)
         result.parallel = {
@@ -334,8 +321,7 @@ def run_phases_parallel(module: Module, name: str, phases,
 def run_experiments_parallel(module: Module, specs, verify=None,
                              validate: bool = True, traced: bool = False,
                              target: Target = ST120,
-                             jobs: Optional[int] = None,
-                             cache=None, metriced: bool = False):
+                             jobs: Optional[int] = None, cache=None):
     """Run ``(label, experiment, options)`` *specs* on a pool, one whole
     experiment per task, with the module pickled once per call.
     Returns the results in spec order, or ``None`` (the caller then
@@ -353,7 +339,7 @@ def run_experiments_parallel(module: Module, specs, verify=None,
         return None  # lambda externals and the like
     payloads = _run_one_shot(workers, cache, [
         ShardJob(blob, name, _pipeline.EXPERIMENTS[name], options, target,
-                 validate, cache, traced, metriced)
+                 validate, cache, traced)
         for _, name, options in specs])
     if payloads is None:
         return None
@@ -368,7 +354,6 @@ def run_experiments_parallel(module: Module, specs, verify=None,
         result = _pipeline.assemble(module, payload["records"], label,
                                     _pipeline.EXPERIMENTS[name],
                                     tracer=tracer, parts=[payload])
-        result.metrics = payload["metrics"]
         result.parallel = {
             "mode": "experiments",
             "jobs": workers,

@@ -44,7 +44,7 @@ from .metrics import (count_instructions, count_moves, ir_measures,
                       weighted_moves)
 from .observability import NULL_TRACER, STATS_SCHEMA, jsonable
 from .observability import resolve as resolve_tracer
-from .observability.metrics import COUNT_BOUNDS, resolve_metrics
+from .observability.metrics import metrics_view
 from .outofssa.chaitin import aggressive_coalesce
 from .outofssa.leung_george import out_of_pinned_ssa
 from .outofssa.naive_abi import naive_abi
@@ -130,9 +130,6 @@ class ExperimentResult:
     #: (:meth:`repro.cache.CompilationCache.stats` shape); empty when
     #: no cache was configured.
     cache: dict = field(default_factory=dict)
-    #: :meth:`repro.observability.metrics.MetricsRegistry.snapshot` of
-    #: the run; empty without a metrics registry.
-    metrics: dict = field(default_factory=dict)
     #: The :class:`FunctionRecord` of every function, in module order.
     records: dict = field(default_factory=dict)
 
@@ -141,7 +138,9 @@ class ExperimentResult:
 
     def to_stats(self) -> dict:
         """This result as a ``repro.stats/v1`` document (see
-        :mod:`repro.observability.schema` and docs/observability.md)."""
+        :mod:`repro.observability.schema` and docs/observability.md).
+        A traced run's ``metrics`` block is
+        :func:`~repro.observability.metrics.metrics_view` of it."""
         tracer = self.tracer
         document = {
             "schema": STATS_SCHEMA,
@@ -158,18 +157,18 @@ class ExperimentResult:
             document["parallel"] = jsonable(self.parallel)
         if self.cache:
             document["cache"] = dict(self.cache)
-        if self.metrics:
-            document["metrics"] = self.metrics
         if tracer.enabled:
             from .interp import resolve_tier
 
-            counters = tracer.counters
+            document["metrics"] = metrics_view(self)
+            environment = tracer.environment
             document["interp"] = {
                 "tier": resolve_tier(),
                 "code_cache": {
-                    "hits": counters.get("interp.code_cache.hits", 0),
-                    "misses": counters.get("interp.code_cache.misses", 0),
-                    "compile_ns": counters.get("interp.compile_ns", 0),
+                    "hits": environment.get("interp.code_cache.hits", 0),
+                    "misses": environment.get("interp.code_cache.misses",
+                                              0),
+                    "compile_ns": environment.get("interp.compile_ns", 0),
                 },
             }
         return document
@@ -240,19 +239,17 @@ def run_experiment(module: Module, name: str,
                    options: Optional[PhaseOptions] = None,
                    target: Target = ST120, verify: Verify = None,
                    validate: bool = True, tracer=None,
-                   jobs: Optional[int] = None, cache=None,
-                   metrics=None) -> ExperimentResult:
+                   jobs: Optional[int] = None,
+                   cache=None) -> ExperimentResult:
     """Run experiment *name* on a fresh copy of *module*.
 
     ``verify`` runs are compared before and after the pipeline, making
     every experiment self-checking.  ``tracer`` (a
     :class:`repro.observability.Tracer`) records per-phase spans, IR
-    deltas and decision counters, ``metrics`` (a
-    :class:`~repro.observability.MetricsRegistry`) latency histograms
-    and traffic counters; ``None`` installs the zero-overhead null
-    recorder, and neither changes an output byte.  ``jobs`` shards the
-    functions across a worker pool (see :mod:`repro.parallel`);
-    ``cache`` is a :class:`~repro.cache.CompilationCache`, a directory,
+    deltas and decision counters; ``None`` installs the zero-overhead
+    null tracer, and tracing never changes an output byte.  ``jobs``
+    shards the functions across a worker pool (see
+    :mod:`repro.parallel`); ``cache`` is a :class:`~repro.cache.CompilationCache`, a directory,
     or ``None`` to consult ``$REPRO_CACHE``.  Every path ends in
     :func:`assemble`, so output is identical at any job count and cache
     temperature.
@@ -265,9 +262,9 @@ def run_experiment(module: Module, name: str,
     if resolve_jobs(jobs) > 1:
         return run_phases_parallel(module, name, phases, options, target,
                                    verify, validate, tracer, jobs=jobs,
-                                   cache=cache, metrics=metrics)
+                                   cache=cache)
     return run_phases(module, name, phases, options, target, verify,
-                      validate, tracer, cache=cache, metrics=metrics)
+                      validate, tracer, cache=cache)
 
 
 def _snapshot(module: Module) -> dict[str, dict[str, int]]:
@@ -453,21 +450,17 @@ def check_behaviour(name: str, module: Module, references: dict,
 def run_phases(module: Module, name: str, phases: Iterable[str],
                options: Optional[PhaseOptions] = None,
                target: Target = ST120, verify: Verify = None,
-               validate: bool = True, tracer=None, cache=None,
-               metrics=None) -> ExperimentResult:
+               validate: bool = True, tracer=None,
+               cache=None) -> ExperimentResult:
     """Run *phases* on a copy of *module* in this process: cache hits
     become records straight from the store, every other function is
     compiled into a fresh :class:`FunctionRecord`, and :func:`assemble`
     merges the two."""
     tracer = resolve_tracer(tracer)
-    metrics = resolve_metrics(metrics)
-    # Hoisted once: the hot loops guard *every* timing call behind this
-    # bool, so the null-registry path reads no perf counter at all.
-    measuring = metrics.enabled
     options = options or PhaseOptions()
     phases = tuple(phases)
     work = module.copy()
-    manager = AnalysisManager(tracer)
+    manager = AnalysisManager()
     cache_mark = cache.stats() if cache is not None else None
     with tracer.span(f"experiment:{name}", experiment=name) as root:
         references = observe(module, verify, tracer)
@@ -480,24 +473,14 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         if cache is not None:
             with tracer.span("cache:probe",
                              functions=len(work.functions)):
-                probe_timer = metrics.histogram("cache.probe_seconds") \
-                    if measuring else None
                 for function in list(work.iter_functions()):
                     key = cache.key(function, phases, options, target)
-                    if measuring:
-                        probe_start = time.perf_counter_ns()
                     record = cache.probe(key)
-                    if measuring:
-                        probe_timer.observe(
-                            (time.perf_counter_ns() - probe_start) / 1e9)
                     if record is None:
                         miss_keys[function.name] = key
                     else:
                         hits[function.name] = record
                         del work.functions[function.name]
-                if measuring:
-                    metrics.counter("cache.hits").inc(len(hits))
-                    metrics.counter("cache.misses").inc(len(miss_keys))
         records = {function.name: FunctionRecord(function)
                    for function in work.iter_functions()}
         # Per-phase IR measures are recorded when tracing (for
@@ -513,40 +496,30 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
         #: do) cannot have changed what the validator looks at -- pins
         #: are resources, not IR -- so the check is skipped.
         validated: dict[Function, tuple[int, int, bool]] = {}
-        #: function -> accumulated compile ns across all phases, fed
-        #: into the ``compile.function_seconds`` histogram at the end.
-        function_ns: dict[str, int] = {}
         before = _snapshot(work) if recording else None
         for phase in phases:
             runner = _phase_runner(phase, options, target, tracer, manager)
             keep_stats = phase != "ssa"
-            with tracer.span(f"phase:{phase}", phase=phase):
-                # One observation per (phase, function): the histogram's
-                # count is worker-independent, its sum is the phase's
-                # self time.
-                phase_timer = metrics.histogram("phase.seconds",
-                                                phase=phase) \
-                    if measuring else None
+            with tracer.span(f"phase:{phase}", phase=phase) as span:
+                # A traced phase span carries each function's compile
+                # ns, the source of the ``metrics`` view's histograms.
+                function_ns = None
+                if tracer.enabled:
+                    function_ns = span.attrs["function_ns"] = {}
                 for function in work.iter_functions():
                     base = dict(tracer.counters) if capture else None
-                    if measuring:
+                    if function_ns is not None:
                         fn_start = time.perf_counter_ns()
                     value = runner(function)
-                    if measuring:
-                        fn_ns = time.perf_counter_ns() - fn_start
+                    if function_ns is not None:
                         function_ns[function.name] = \
-                            function_ns.get(function.name, 0) + fn_ns
-                        phase_timer.observe(fn_ns / 1e9)
+                            time.perf_counter_ns() - fn_start
                     record = records[function.name]
                     if keep_stats:
                         record.phase_stats[phase] = value
                     if base is not None:
                         deltas = record.counters
                         for counter, total in tracer.counters.items():
-                            # Only *decision* counters replay on a hit;
-                            # ``analysis.*`` traffic is the run's own.
-                            if counter.startswith("analysis."):
-                                continue
                             delta = total - base.get(counter, 0)
                             if delta:
                                 deltas[counter] = \
@@ -583,15 +556,8 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
             record.instructions = count_instructions(function)
         if cache is not None and miss_keys:
             with tracer.span("cache:store", functions=len(miss_keys)):
-                store_timer = metrics.histogram("cache.store_seconds") \
-                    if measuring else None
                 for fn_name, key in miss_keys.items():
-                    if measuring:
-                        store_start = time.perf_counter_ns()
                     cache.store(key, records[fn_name])
-                    if measuring:
-                        store_timer.observe(
-                            (time.perf_counter_ns() - store_start) / 1e9)
 
         result = assemble(
             module, {**records, **hits}, name, phases, tracer=tracer,
@@ -600,42 +566,17 @@ def run_phases(module: Module, name: str, phases: Iterable[str],
                     "cache": cache.stats_since(cache_mark)
                     if cache is not None else {}}])
         check_behaviour(name, result.module, references, tracer)
-        if measuring:
-            function_timer = metrics.histogram("compile.function_seconds")
-            for fn_name in sorted(function_ns):
-                function_timer.observe(function_ns[fn_name] / 1e9)
-            metrics.counter("pipeline.runs").inc()
-            metrics.counter("pipeline.functions").inc(
-                len(module.functions))
-            analysis = result.analysis_cache
-            for counter, key in (("analysis.hits", "hits"),
-                                 ("analysis.misses", "misses"),
-                                 ("oracle.hits", "oracle_hits"),
-                                 ("oracle.misses", "oracle_misses")):
-                metrics.counter(counter).inc(analysis.get(key, 0))
-            # The oracle's per-run query batch: how many interference
-            # verdicts one pipeline run asked for (a size, not a
-            # latency -- hence the count ladder).
-            metrics.histogram("oracle.query_batch",
-                              bounds=COUNT_BOUNDS).observe(
-                float(analysis.get("oracle_hits", 0)
-                      + analysis.get("oracle_misses", 0)))
-            if result.cache:
-                metrics.gauge("cache.store_bytes").set(
-                    result.cache.get("bytes", 0))
-            result.metrics = metrics.snapshot()
     return result
 
 
 def _run_labelled(module: Module, specs, verify: Verify, validate: bool,
-                  tracer, jobs: Optional[int], cache=None,
-                  metrics=None) -> list[ExperimentResult]:
+                  tracer, jobs: Optional[int],
+                  cache=None) -> list[ExperimentResult]:
     """Run ``(label, experiment, options)`` *specs*, serially or -- when
     ``jobs`` allows -- one whole experiment per pool worker.  ``tracer``
-    and ``metrics`` may be instances shared by all runs or factories
-    such as the :class:`Tracer` class (one fresh recorder per run, as
-    per-run stats documents want); the parallel path always gives each
-    run its own."""
+    may be an instance shared by all runs or a factory such as the
+    :class:`Tracer` class (one fresh tracer per run, as per-run stats
+    documents want); the parallel path always gives each run its own."""
     from .cache import resolve_cache
     from .parallel import run_experiments_parallel
 
@@ -643,8 +584,7 @@ def _run_labelled(module: Module, specs, verify: Verify, validate: bool,
     results = run_experiments_parallel(module, specs, verify=verify,
                                        validate=validate,
                                        traced=tracer is not None,
-                                       jobs=jobs, cache=cache,
-                                       metriced=metrics is not None)
+                                       jobs=jobs, cache=cache)
     if results is not None:
         return results
     results = []
@@ -652,8 +592,7 @@ def _run_labelled(module: Module, specs, verify: Verify, validate: bool,
         result = run_experiment(
             module, name, options=options, verify=verify,
             validate=validate, jobs=1, cache=cache,
-            tracer=tracer() if callable(tracer) else tracer,
-            metrics=metrics() if callable(metrics) else metrics)
+            tracer=tracer() if callable(tracer) else tracer)
         result.name = label
         results.append(result)
     return results
@@ -661,32 +600,31 @@ def _run_labelled(module: Module, specs, verify: Verify, validate: bool,
 
 def run_table(module: Module, table: str, verify: Verify = None,
               options: Optional[PhaseOptions] = None, validate: bool = True,
-              tracer=None, jobs: Optional[int] = None, cache=None,
-              metrics=None) -> list[ExperimentResult]:
+              tracer=None, jobs: Optional[int] = None,
+              cache=None) -> list[ExperimentResult]:
     """Run all experiments of one paper table on *module*.
 
-    ``options``/``validate``/``tracer``/``cache``/``metrics`` are
-    forwarded to every :func:`run_experiment`; ``tracer`` and
-    ``metrics`` may be factories (e.g. the ``Tracer`` /
-    ``MetricsRegistry`` classes) to give each run its own recorder.
-    ``jobs > 1`` shards whole experiments across a worker pool.
+    ``options``/``validate``/``tracer``/``cache`` are forwarded to
+    every :func:`run_experiment`; ``tracer`` may be a factory (e.g. the
+    ``Tracer`` class) to give each run its own tracer.  ``jobs > 1``
+    shards whole experiments across a worker pool.
     """
     specs = [(name, name, options) for name in TABLE_EXPERIMENTS[table]]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics)
+                         cache=cache)
 
 
 def run_experiments(module: Module, names: Optional[Sequence[str]] = None,
                     verify: Verify = None,
                     options: Optional[PhaseOptions] = None,
                     validate: bool = True, tracer=None,
-                    jobs: Optional[int] = None, cache=None,
-                    metrics=None) -> list[ExperimentResult]:
+                    jobs: Optional[int] = None,
+                    cache=None) -> list[ExperimentResult]:
     """Run several experiments (default: the whole Table 1 matrix) on
     *module*, optionally sharding them across a worker pool."""
     specs = [(name, name, options) for name in (names or EXPERIMENTS)]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics)
+                         cache=cache)
 
 
 def table5_variants() -> dict[str, PhaseOptions]:
@@ -700,11 +638,11 @@ def table5_variants() -> dict[str, PhaseOptions]:
 
 
 def run_table5(module: Module, verify: Verify = None, validate: bool = True,
-               tracer=None, jobs: Optional[int] = None, cache=None,
-               metrics=None) -> list[ExperimentResult]:
+               tracer=None, jobs: Optional[int] = None,
+               cache=None) -> list[ExperimentResult]:
     """Table 5: weighted move counts of the coalescer variants, using
     the full constrained pipeline (``Lφ,ABI+C``)."""
     specs = [(label, "Lphi,ABI+C", options)
              for label, options in table5_variants().items()]
     return _run_labelled(module, specs, verify, validate, tracer, jobs,
-                         cache=cache, metrics=metrics)
+                         cache=cache)

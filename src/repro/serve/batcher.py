@@ -9,7 +9,7 @@ other.  Each worker task runs :func:`repro.parallel.run_shard` once per
 request it holds; every request's function records are then merged by
 :func:`repro.pipeline.assemble`, the same merge as the serial CLI path,
 which is what makes a batched response **byte-identical** to it.
-Workers run untraced and unmetriced: the server records its own
+Workers run untraced: the server records its own
 latency metrics.
 
 Failures stay per-request: a sub-job that raises (validation error,

@@ -199,8 +199,8 @@ class CompileServer:
             return
         result = ExperimentResult(name="serve", module=Module("serve"))
         record = make_record(result, suite="serve", jobs=self.jobs,
-                             wall_s=None,
-                             metrics=self.metrics.snapshot())
+                             wall_s=None)
+        record["metrics"] = self.metrics.snapshot()
         record["serve"] = self._lifetime_stats()
         self.ledger.append(record)
 

@@ -13,7 +13,6 @@ The contract under test is the acceptance bar of the cache
 * forked parallel workers share one directory and their counters sum.
 """
 
-import copy
 import glob
 import os
 
@@ -24,7 +23,7 @@ from repro.cache import (CACHE_STATS_KEYS, CompilationCache, cache_key,
                          options_fingerprint, resolve_cache)
 from repro.ir.printer import format_module
 from repro.machine import ST120
-from repro.observability import Tracer, validate_stats
+from repro.observability import Tracer, strip_timing, validate_stats
 from repro.parallel import fork_available
 from repro.pipeline import EXPERIMENTS, PhaseOptions, run_experiment
 
@@ -43,27 +42,6 @@ def module():
 def entry_files(cache_dir):
     return sorted(glob.glob(os.path.join(str(cache_dir),
                                          "objects", "*", "*.bin")))
-
-
-def strip_volatile(doc: dict) -> dict:
-    """A stats document minus the fields documented as varying between
-    a cache-cold and a cache-hot run (mirrors benchmarks/diff_stats.py):
-    timing, the ``parallel``/``cache`` blocks, and the instrumentation
-    volume a warm run legitimately skips (``analysis_cache``,
-    ``events``, ``analysis.*`` counters).  Paper metrics, per-phase
-    breakdowns and decision counters survive and must match."""
-    doc = copy.deepcopy(doc)
-    doc.pop("cache", None)
-    doc.pop("parallel", None)
-    doc.pop("analysis_cache", None)
-    doc.pop("events", None)
-    doc["counters"] = {name: value
-                       for name, value in doc.get("counters", {}).items()
-                       if not name.startswith("analysis.")}
-    for entry in doc.get("phases", ()):
-        for key in ("seq", "start_ns", "duration_ns"):
-            entry.pop(key, None)
-    return doc
 
 
 class TestKeys:
@@ -137,8 +115,8 @@ class TestRoundTrip:
             validate_stats(doc)
             assert doc["cache"]["hits"] + doc["cache"]["misses"] == \
                 len(module.functions)
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+        assert strip_timing(warm.to_stats()) == \
+            strip_timing(cold.to_stats())
 
     def test_cache_block_only_with_cache(self, module):
         result = run_experiment(module, "Lphi,ABI+C")
@@ -274,8 +252,8 @@ class TestParallelSharing:
         warm = run_experiment(module, "Lphi,ABI+C", tracer=Tracer(),
                               jobs=2, cache=cache_dir)
         validate_stats(warm.to_stats())
-        assert strip_volatile(warm.to_stats()) == \
-            strip_volatile(cold.to_stats())
+        assert strip_timing(warm.to_stats()) == \
+            strip_timing(cold.to_stats())
 
 
 class TestResolveCache:

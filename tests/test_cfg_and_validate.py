@@ -144,6 +144,20 @@ endfunc
         with pytest.raises(ValidationError, match="expects 2 uses"):
             validate_function(f)
 
+    def test_odd_psi_operands_reported_raw(self):
+        f = parse_module("""
+func main
+entry:
+    input a
+    psi x, a, a, a
+    ret x
+endfunc
+""").function("main")
+        with pytest.raises(ValidationError,
+                           match=r"psi needs \(guard, value\) pairs: "
+                                 r"psi x, a, a, a"):
+            validate_function(f)
+
     def test_module_checks_callees(self):
         m = parse_module("""
 func main

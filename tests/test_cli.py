@@ -109,6 +109,25 @@ class TestCompile:
         assert str(info.value) == (f"{bad}: line 4, col 6: "
                                    "duplicate function 'f'")
 
+    @pytest.mark.parametrize("line, message", [
+        ("add x, a", "add expects 2 uses, got 1: add x"),
+        ("psi x, a, a, a",
+         "psi needs (guard, value) pairs: psi x"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--show-ssa"]])
+    def test_ill_formed_ir_is_one_line(self, tmp_path, line, message,
+                                       flags):
+        """Text that parses but is ill-formed ends in one
+        ``FILE: error`` line, never a traceback."""
+        bad = tmp_path / "bad.lai"
+        bad.write_text(f"func main\nentry:\n    input a\n    {line}\n"
+                       f"    ret x\nendfunc\n")
+        with pytest.raises(SystemExit) as info:
+            main(["compile", str(bad), *flags])
+        text = str(info.value)
+        assert text.startswith(f"{bad}: main: block entry: ")
+        assert message in text and "\n" not in text
+
 
 class TestExperiments:
     def test_experiment_table(self, lai_file, capsys):

@@ -1,5 +1,6 @@
-"""The metrics registry: instruments, merge algebra, determinism at any
-job count, Prometheus round trip, and the v1.5 schema contract."""
+"""The metrics registry and the ``metrics`` view of a traced run:
+instruments, merge algebra, determinism at any job count, Prometheus
+round trip, and the v1.5 schema contract."""
 
 import json
 
@@ -7,12 +8,11 @@ import pytest
 
 from helpers import module_of
 from repro.benchgen import all_suites
-from repro.observability import (MetricsRegistry, NULL_METRICS,
-                                 merge_snapshots, parse_prometheus_text,
-                                 prometheus_text, validate_stats)
+from repro.observability import (MetricsRegistry, Tracer,
+                                 parse_prometheus_text, prometheus_text,
+                                 validate_stats)
 from repro.observability.metrics import (BUCKET_BOUNDS, COUNT_BOUNDS,
-                                         NullMetrics, render_prometheus,
-                                         resolve_metrics, split_key, _key)
+                                         render_prometheus, split_key, _key)
 from repro.pipeline import run_experiment
 
 TWO_FUNCS = """
@@ -101,20 +101,6 @@ class TestInstruments:
         assert pct["p50"] == pytest.approx(1e-6)
         assert pct["p99"] == pytest.approx(1e-6)
 
-    def test_null_registry_is_inert_and_shared(self):
-        assert not NULL_METRICS.enabled
-        assert resolve_metrics(None) is NULL_METRICS
-        registry = MetricsRegistry()
-        assert resolve_metrics(registry) is registry
-        a = NULL_METRICS.counter("x", label="y")
-        b = NULL_METRICS.histogram("z", bounds=COUNT_BOUNDS)
-        assert a is b  # one shared no-op instrument, no allocation
-        a.inc()
-        a.observe(1.0)
-        a.set(3)
-        assert NULL_METRICS.snapshot() == {}
-        assert isinstance(NULL_METRICS, NullMetrics)
-
 
 class TestMergeAlgebra:
     def _snap(self, c, g, observations):
@@ -125,11 +111,17 @@ class TestMergeAlgebra:
             registry.histogram("h").observe(value)
         return registry.snapshot()
 
+    def _merged(self, snapshots):
+        registry = MetricsRegistry()
+        for snapshot in snapshots:
+            registry.merge(snapshot)
+        return registry.snapshot()
+
     def test_merge_sums_counts_and_maxes_gauges(self):
-        merged = merge_snapshots([
+        merged = self._merged([
             self._snap(2, 5, [1e-6]),
             self._snap(3, 9, [3e-6, 1e9]),
-            None, {},  # skipped workers
+            None, {},  # records without a metrics block
         ])
         assert merged["counters"] == {"c": 5}
         assert merged["gauges"] == {"g": 9}
@@ -138,8 +130,8 @@ class TestMergeAlgebra:
     def test_merge_is_order_independent(self):
         snaps = [self._snap(1, 3, [1e-6]), self._snap(2, 7, [2e-6]),
                  self._snap(4, 1, [4e-6, 1e-5])]
-        forward = merge_snapshots(snaps)
-        backward = merge_snapshots(reversed(snaps))
+        forward = self._merged(snaps)
+        backward = self._merged(reversed(snaps))
         assert forward["counters"] == backward["counters"]
         assert forward["gauges"] == backward["gauges"]
         for key in forward["histograms"]:
@@ -161,9 +153,9 @@ class TestMergeAlgebra:
 
 
 class TestPipelineDeterminism:
-    """The acceptance contract: deterministic metric fields are
-    identical at --jobs 1/2/4 (counters, function-keyed observation
-    counts, and the oracle batch *volume*)."""
+    """The acceptance contract: deterministic fields of the ``metrics``
+    view are identical at --jobs 1/2/4 (counters and every histogram's
+    observation count)."""
 
     @pytest.fixture(scope="class")
     def per_jobs(self):
@@ -171,8 +163,8 @@ class TestPipelineDeterminism:
         snaps = {}
         for jobs in (1, 2, 4):
             result = run_experiment(module, "Lphi,ABI+C", jobs=jobs,
-                                    metrics=MetricsRegistry())
-            snaps[jobs] = (result, result.metrics)
+                                    tracer=Tracer())
+            snaps[jobs] = (result, result.to_stats()["metrics"])
         return snaps
 
     def test_counters_identical(self, per_jobs):
@@ -188,12 +180,7 @@ class TestPipelineDeterminism:
             snap = per_jobs[jobs][1]["histograms"]
             assert set(snap) == set(base)
             for key in base:
-                if key.startswith("oracle.query_batch"):
-                    # batch observations are per worker run; the
-                    # total observed volume is what must match
-                    assert snap[key]["sum"] == base[key]["sum"]
-                else:
-                    assert snap[key]["count"] == base[key]["count"], key
+                assert snap[key]["count"] == base[key]["count"], key
 
     def test_paper_metrics_unchanged(self, per_jobs):
         moves = {jobs: result.moves
@@ -212,25 +199,25 @@ class TestPipelineDeterminism:
             validate_stats(doc)
 
     def test_tables_byte_identical_with_metrics(self):
-        """Enabling the registry must not perturb paper output at any
-        job count."""
+        """Tracing (and with it the ``metrics`` view) must not perturb
+        paper output at any job count."""
         from repro.pipeline import run_table
 
         suite = next(s for s in all_suites() if s.name == "VALcc1")
         baseline = [(r.name, r.moves, r.weighted)
                     for r in run_table(suite.module, "table2")]
         for jobs in (1, 2):
-            metered = [(r.name, r.moves, r.weighted)
-                       for r in run_table(suite.module, "table2",
-                                          jobs=jobs,
-                                          metrics=MetricsRegistry)]
-            assert metered == baseline
+            traced = run_table(suite.module, "table2", jobs=jobs,
+                               tracer=Tracer)
+            assert all("metrics" in r.to_stats() for r in traced)
+            assert [(r.name, r.moves, r.weighted)
+                    for r in traced] == baseline
 
 
 class TestSchemaV15:
     def _doc_with_metrics(self):
         module = module_of(TWO_FUNCS)
-        result = run_experiment(module, "C", metrics=MetricsRegistry())
+        result = run_experiment(module, "C", tracer=Tracer())
         return result.to_stats()
 
     def test_valid_metrics_block(self):

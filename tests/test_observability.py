@@ -136,33 +136,37 @@ class TestNullTracer:
         assert result.phase_breakdown
 
     def test_default_run_skips_metrics_entirely(self, monkeypatch):
-        """Structural zero-overhead for the registry: without one,
-        run_phases never reaches a histogram observe or a perf-counter
-        read on its behalf -- the hot loops guard every metrics call
-        behind ``metrics.enabled``."""
+        """Structural zero-overhead for the ``metrics`` view: an
+        untraced run never builds it, never touches a registry
+        instrument and never reads a per-function perf counter."""
         from repro.observability import metrics as metrics_mod
 
-        def boom(self, value):
-            raise AssertionError("Histogram.observe on the null path")
+        def boom(*args, **kwargs):
+            raise AssertionError("metrics work on the null path")
 
+        class NoClock:
+            perf_counter_ns = staticmethod(boom)
+
+        monkeypatch.setattr(pipeline_mod, "metrics_view", boom)
+        monkeypatch.setattr(pipeline_mod, "time", NoClock)
         monkeypatch.setattr(metrics_mod.Histogram, "observe", boom)
-        monkeypatch.setattr(
-            metrics_mod.Counter, "inc",
-            lambda self, n=1: (_ for _ in ()).throw(
-                AssertionError("Counter.inc on the null path")))
+        monkeypatch.setattr(metrics_mod.Counter, "inc", boom)
         module = module_of(LOOPY)
         result = run_experiment(module, "Lphi,ABI+C")
-        assert result.metrics == {}
         assert "metrics" not in result.to_stats()
 
     def test_metered_run_snapshots(self):
-        from repro.observability import MetricsRegistry
-
         module = module_of(LOOPY)
-        result = run_experiment(module, "Lphi,ABI+C",
-                                metrics=MetricsRegistry())
-        assert result.metrics["counters"]["pipeline.runs"] == 1
-        assert result.to_stats()["metrics"] is result.metrics
+        result = run_experiment(module, "Lphi,ABI+C", tracer=Tracer())
+        metrics = result.to_stats()["metrics"]
+        assert metrics["counters"]["pipeline.runs"] == 1
+        assert metrics["histograms"]["compile.function_seconds"][
+            "count"] == 1
+        phase_ns = sum(span.attrs["function_ns"]["main"]
+                       for span in result.tracer.spans
+                       if span.name.startswith("phase:"))
+        assert metrics["histograms"]["compile.function_seconds"][
+            "sum"] == pytest.approx(phase_ns / 1e9)
 
 
 class TestChromeExport:
@@ -251,17 +255,14 @@ class TestPhaseBreakdown:
                              tracer=Tracer())
         assert strip_timing(one) == strip_timing(two)
 
-        def decisions(result):
-            # Code-cache traffic and compile time depend on what ran
-            # before (the cache is process-global); every decision
-            # counter must replay exactly.
-            from repro.observability.statdiff import \
-                ENVIRONMENT_COUNTER_PREFIXES
-            return {name: value
-                    for name, value in result.tracer.counters.items()
-                    if not name.startswith(ENVIRONMENT_COUNTER_PREFIXES)}
-
-        assert decisions(one) == decisions(two)
+        # Code-cache traffic and compile time depend on what ran before
+        # (the cache is process-global), so they live in the tracer's
+        # environment store; every decision counter must replay exactly.
+        assert one.tracer.counters == two.tracer.counters
+        environment = one.tracer.environment
+        assert environment.get("interp.code_cache.hits", 0) + \
+            environment.get("interp.code_cache.misses", 0) > 0
+        assert not set(environment) & set(one.tracer.counters)
         assert len(one.tracer.events) == len(two.tracer.events)
         assert one.phase_stats == two.phase_stats
 

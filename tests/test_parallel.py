@@ -31,9 +31,17 @@ TIMING_KEYS = ("seq", "start_ns", "duration_ns")
 
 
 def strip_timing(doc: dict) -> dict:
-    """A stats document minus its documented non-deterministic fields."""
+    """A stats document minus its documented non-deterministic fields;
+    of the ``metrics`` view, the counters and every histogram's
+    observation count stay."""
     doc = copy.deepcopy(doc)
     doc.pop("parallel", None)
+    metrics = doc.pop("metrics", None)
+    if metrics:
+        doc["metrics"] = {
+            "counters": metrics["counters"],
+            "counts": {key: histogram["count"] for key, histogram
+                       in metrics["histograms"].items()}}
     for entry in doc.get("phases", ()):
         for key in TIMING_KEYS:
             entry.pop(key, None)

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import module_of
 from repro.cli import main
-from repro.observability import (MetricsRegistry, RunLedger, make_record,
+from repro.observability import (RunLedger, Tracer, make_record,
                                  resolve_ledger, stats_digest)
 from repro.observability.ledger import (LEDGER_SCHEMA, best_times,
                                         diff_entries, entry_key,
@@ -51,9 +51,9 @@ endfunc
 """
 
 
-def _result(jobs=1, metrics=None):
+def _result(jobs=1, tracer=None):
     return run_experiment(module_of(PROG), "Lphi,ABI+C", jobs=jobs,
-                          metrics=metrics)
+                          tracer=tracer)
 
 
 def _record(result=None, *, suite="unit", wall_s=0.5, rev="aaaaaa111111",
@@ -139,14 +139,14 @@ class TestRecordIdentity:
         assert len(digests) == 1
 
     def test_digest_ignores_metrics_block(self):
-        plain = _record(_result())["stats_digest"]
-        metered = _record(_result(metrics=MetricsRegistry()))
-        assert metered["stats_digest"] == plain
-        assert "metrics" not in metered  # only embedded when passed
+        result = _result(tracer=Tracer())
+        document = result.to_stats()
+        del document["metrics"]
+        assert _record(result)["stats_digest"] == stats_digest(document)
+        assert "metrics" not in _record(_result())  # only when traced
 
     def test_metrics_embedded_when_passed(self):
-        result = _result(metrics=MetricsRegistry())
-        record = _record(result, metrics=result.metrics)
+        record = _record(_result(tracer=Tracer()))
         assert record["metrics"]["counters"]["pipeline.runs"] == 1
 
 
@@ -244,10 +244,8 @@ class TestTrendAndExport:
         assert len(only) == 1
 
     def test_export_prometheus_latest_per_key(self):
-        result = _result(metrics=MetricsRegistry())
-        entries = [_record(result, wall_s=0.6),
-                   _record(result, wall_s=0.3,
-                           metrics=result.metrics)]
+        entries = [_record(_result(), wall_s=0.6),
+                   _record(_result(tracer=Tracer()), wall_s=0.3)]
         text = export_prometheus(entries)
         assert 'repro_ledger_wall_seconds{experiment="Lphi,ABI+C"' in text
         assert " 0.3" in text and " 0.6" not in text  # latest wins
@@ -273,8 +271,8 @@ class TestParallelSingleWriter:
         path = tmp_path / "runs.jsonl"
         for jobs in ("1", "2", "4"):
             assert main(["compile", str(prog), "--jobs", jobs,
-                         "--metrics", "--ledger", str(path),
-                         "-o", os.devnull]) == 0
+                         "--stats-json", str(tmp_path / "stats.json"),
+                         "--ledger", str(path), "-o", os.devnull]) == 0
         ledger = RunLedger(path)
         entries = ledger.entries()
         assert len(entries) == 3
@@ -337,8 +335,8 @@ class TestPerfCli:
                                     capsys):
         path = str(tmp_path / "env.jsonl")
         monkeypatch.setenv("REPRO_LEDGER", path)
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        assert main(["compile", prog, "-o", os.devnull]) == 0
+        assert main(["compile", prog, "--stats-json",
+                     str(tmp_path / "stats.json"), "-o", os.devnull]) == 0
         entries = RunLedger(path).entries()
         assert len(entries) == 1
         assert entries[0]["metrics"]["counters"]["pipeline.runs"] == 1

@@ -19,13 +19,12 @@ from repro.ir.function import Module
 from repro.ir.printer import format_module
 from repro.lai import parse_module
 from repro.observability import Tracer, validate_stats
-from repro.observability.statdiff import stats_digest
+from repro.observability.statdiff import stats_digest, strip_timing
 from repro.parallel import WorkerPool, fork_available
 from repro.pipeline import run_experiment
 from repro.serve.batcher import ServeJob, run_batch
 from repro.serve.protocol import parse_compile
 
-from test_cache import strip_volatile
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="platform lacks fork")
@@ -68,7 +67,7 @@ def reference(source):
     return {"text": format_module(plain.module),
             "phase_stats": plain.phase_stats,
             "digest": stats_digest(plain.to_stats()),
-            "traced": strip_volatile(traced.to_stats())}
+            "traced": strip_timing(traced.to_stats())}
 
 
 @pytest.mark.parametrize("temperature", TEMPERATURES)
@@ -87,7 +86,7 @@ def test_one_shot_paths_match_cold_serial(source, reference, tmp_path,
         assert result.phase_stats == reference["phase_stats"]
         if traced:
             validate_stats(result.to_stats())
-            assert strip_volatile(result.to_stats()) == \
+            assert strip_timing(result.to_stats()) == \
                 reference["traced"]
         else:
             assert stats_digest(result.to_stats()) == reference["digest"]
